@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    killing-graph solve      --config cfg.json [--out DIR] [--threads N]
+    killing-graph solve      --config cfg.json [--out DIR]
     killing-graph radial     --config cfg.json [--out DIR]
     killing-graph growth     --config cfg.json [--out DIR]
     killing-graph experiment <name> --config cfg.json [--out DIR]
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from . import experiments, growth, nil, radial
 from .fields import as_field, expr_field
 from .grids import GridDomain
 from .models import MetricModel, Rect, builtin_model
-from .operator import NodeFields, mean_curvature_residual
+from .operator import AssemblyCache, mean_curvature_residual
 from .solver import SolveConfig, solve_dirichlet
 
 EXPERIMENT_NAMES = ("nil-strip", "removable-singularity", "collin-krust-fit",
@@ -209,12 +208,12 @@ def cmd_solve(cfg: dict, args) -> int:
     scfg = _solver_config(cfg)
     out = _out_dir(cfg, args)
 
-    rep = solve_dirichlet(model, dom, H=H, config=scfg)
-    res = mean_curvature_residual(model, rep.u, H=H)
-    nf = NodeFields(model, dom)
-    G1, G2 = nf.gradient_arrays(rep.u.values)
-    W = np.sqrt(1.0 + nf.MU ** 2 * (G1 ** 2 + G2 ** 2))
-    NU = nf.MU / W
+    cache = AssemblyCache(model, dom)
+    rep = solve_dirichlet(model, dom, H=H, config=scfg, cache=cache)
+    res = mean_curvature_residual(model, rep.u, H=H, cache=cache)
+    G1, G2 = cache.gradient_arrays(rep.u.values)
+    W = np.sqrt(1.0 + cache.MU ** 2 * (G1 ** 2 + G2 ** 2))
+    NU = cache.MU / W
     X, Y = dom.coords()
     rows = []
     for j, i in zip(*np.nonzero(dom.interior_mask())):
@@ -466,18 +465,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
     p = sub.add_parser("experiment")
     p.add_argument("name", choices=EXPERIMENT_NAMES)
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
 
     args = parser.parse_args(argv)
-    threads = args.threads or os.environ.get("KG_THREADS")
-    if threads:
-        # best-effort hint for BLAS pools created after this point
-        os.environ.setdefault("OMP_NUM_THREADS", str(threads))
 
     try:
         cfg = _load_config(args.config)

@@ -4,6 +4,11 @@ The Jacobian is the exact derivative of the flux-form residual.  A rejected
 backtracking search falls back to a Picard sweep (frozen area element) and
 the initial iterate always comes from one Picard solve with the area
 element frozen at the zero-section value W0.
+
+Each Newton or Picard matrix is LU-factored exactly once with SuperLU
+(COLAMD column ordering); the one step of iterative refinement taken when
+the linear residual exceeds ``linear_rtol`` reuses those factors.  The
+factors live only for the duration of one linear solve.
 """
 
 from __future__ import annotations
@@ -43,16 +48,22 @@ class SolveReport:
     runtime: float = 0.0
 
 
+# what a singular or non-finite linear system raises
+_SINGULAR = (np.linalg.LinAlgError, RuntimeError)
+
+
 def _linear_solve(J, rhs, rtol):
-    delta = spla.spsolve(J.tocsc(), rhs)
+    # splu raises RuntimeError on an exactly singular factor
+    lu = spla.splu(J.tocsc(), permc_spec="COLAMD")
+    delta = lu.solve(rhs)
     if not np.all(np.isfinite(delta)):
         raise np.linalg.LinAlgError("singular Jacobian")
     nr = np.linalg.norm(rhs)
     if nr > 0:
         res = np.linalg.norm(J @ delta - rhs) / nr
         if res > rtol:
-            # one step of iterative refinement
-            delta = delta + spla.spsolve(J.tocsc(), rhs - J @ delta)
+            # one step of iterative refinement on the same factors
+            delta = delta + lu.solve(rhs - J @ delta)
     return delta
 
 
@@ -64,12 +75,12 @@ def _full_grid(dom: GridDomain, interior_vec, cache: AssemblyCache) -> np.ndarra
 
 
 def _picard_solve(cache: AssemblyCache, u_grid: np.ndarray, rhs: np.ndarray,
-                  frozen_W: list) -> np.ndarray:
+                  frozen_W: list, rtol: float) -> np.ndarray:
     """Solve the affine frozen-coefficient system exactly (one linear solve)."""
     J = cache.jacobian(u_grid, frozen_W=frozen_W)
     vec = u_grid.ravel()[cache.flat_unknown].copy()
     F = _frozen_residual(cache, u_grid, rhs, frozen_W)
-    delta = _linear_solve(J, -F, 1e-12)
+    delta = _linear_solve(J, -F, rtol)
     return vec + delta
 
 
@@ -107,25 +118,31 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
     rhs = nodal_rhs(model, dom, H)
     tol = cfg.tol_factor * (1.0 + float(np.max(np.abs(rhs[dom.carried()]))))
 
+    message = ""
+    singular_start = False
     if init is not None:
         vec = init.values.ravel()[cache.flat_unknown].copy()
     else:
         zero_grid = _full_grid(dom, np.zeros(cache.n_unknowns), cache)
         zeros_everywhere = np.where(dom.carried(), 0.0, np.nan)
         W0 = cache.frozen_W(zeros_everywhere)
-        vec = _picard_solve(cache, zero_grid, rhs, W0)
+        try:
+            vec = _picard_solve(cache, zero_grid, rhs, W0, cfg.linear_rtol)
+        except _SINGULAR:
+            vec = np.zeros(cache.n_unknowns)
+            singular_start = True
+            message = "singular Picard system for the initial iterate"
 
     damping: List[float] = []
     picard_sweeps = 0
     rejected = 0
-    message = ""
     converged = False
     iters = 0
     u = _full_grid(dom, vec, cache)
     F = cache.residual(u, rhs)
     fnorm = float(np.max(np.abs(F))) if F.size else 0.0
 
-    while iters < cfg.max_iters:
+    while not singular_start and iters < cfg.max_iters:
         if fnorm <= tol:
             converged = True
             break
@@ -133,42 +150,49 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
         try:
             J = cache.jacobian(u)
             delta = _linear_solve(J, -F, cfg.linear_rtol)
-        except (np.linalg.LinAlgError, RuntimeError):
-            message = "singular Jacobian; Picard fallback"
-            vec = _picard_solve(cache, u, rhs, cache.frozen_W(u))
-            picard_sweeps += 1
-            u = _full_grid(dom, vec, cache)
-            F = cache.residual(u, rhs)
-            fnorm = float(np.max(np.abs(F)))
-            continue
+        except _SINGULAR:
+            delta = None
 
-        phi0 = float(F @ F)
-        t = 1.0
-        accepted = False
-        while t >= cfg.min_step:
-            trial = vec + t * delta
-            u_try = _full_grid(dom, trial, cache)
-            F_try = cache.residual(u_try, rhs)
-            if float(F_try @ F_try) <= (1.0 - 2.0 * cfg.armijo * t) * phi0:
-                accepted = True
-                break
-            t *= 0.5
-        if accepted:
-            vec, u, F = trial, u_try, F_try
-            fnorm = float(np.max(np.abs(F)))
-            damping.append(t)
-            rejected = 0
-        else:
+        if delta is not None:
+            phi0 = float(F @ F)
+            t = 1.0
+            accepted = False
+            while t >= cfg.min_step:
+                trial = vec + t * delta
+                u_try = _full_grid(dom, trial, cache)
+                F_try = cache.residual(u_try, rhs)
+                if float(F_try @ F_try) <= (1.0 - 2.0 * cfg.armijo * t) * phi0:
+                    accepted = True
+                    break
+                t *= 0.5
+            if accepted:
+                vec, u, F = trial, u_try, F_try
+                fnorm = float(np.max(np.abs(F)))
+                damping.append(t)
+                rejected = 0
+                continue
             rejected += 1
             damping.append(0.0)
-            if rejected >= cfg.picard_after:
-                vec = _picard_solve(cache, u, rhs, cache.frozen_W(u))
-                picard_sweeps += 1
-                u = _full_grid(dom, vec, cache)
-                F = cache.residual(u, rhs)
-                fnorm = float(np.max(np.abs(F)))
-                rejected = 0
-                message = "Picard fallback after rejected Newton steps"
+            if rejected < cfg.picard_after:
+                continue
+
+        # Picard sweep: after a singular Jacobian, or after picard_after
+        # consecutive rejected Newton steps
+        try:
+            vec = _picard_solve(cache, u, rhs, cache.frozen_W(u), cfg.linear_rtol)
+        except _SINGULAR:
+            after = "a singular Jacobian" if delta is None else "rejected Newton steps"
+            message = f"singular Picard system in the fallback after {after}"
+            break
+        picard_sweeps += 1
+        u = _full_grid(dom, vec, cache)
+        F = cache.residual(u, rhs)
+        fnorm = float(np.max(np.abs(F)))
+        if delta is None:
+            message = "singular Jacobian; Picard fallback"
+        else:
+            rejected = 0
+            message = "Picard fallback after rejected Newton steps"
 
     if not converged and fnorm <= tol:
         converged = True

@@ -1,7 +1,10 @@
 import numpy as np
+import scipy.sparse.linalg as spla
 
+from killing_graphs import solver
 from killing_graphs.grids import GridDomain, ScalarGrid
 from killing_graphs.models import builtin_model
+from killing_graphs.operator import AssemblyCache
 from killing_graphs.solver import (SolveConfig, check_max_principle,
                                    exhaustion_solve, solve_dirichlet)
 from killing_graphs.nil import strip_truncation_domain
@@ -172,3 +175,118 @@ def test_exhaustion_cauchy_monitor_decreases():
 
     ex = exhaustion_solve(m, [make(n) for n in (2, 3, 4, 5, 6)])
     assert all(b < a for a, b in zip(ex.cauchy, ex.cauchy[1:]))
+
+
+# -- linear-solve layer ------------------------------------------------------------------
+
+def _clamped_strip():
+    return GridDomain.rectangle(-2.0, 2.0, -1.0, 1.0, 1 / 16, boundary={
+        "left": 5.0, "right": 5.0, "bottom": 0.0, "top": 0.0})
+
+
+class _CountingLU:
+    def __init__(self, lu, counts):
+        self._lu, self._counts = lu, counts
+
+    def solve(self, rhs):
+        self._counts["lu_solves"] += 1
+        return self._lu.solve(rhs)
+
+
+def _count_linear_algebra(monkeypatch):
+    """Count factorizations, triangular solves and assembled matrices."""
+    counts = {"splu": 0, "spsolve": 0, "lu_solves": 0, "matrices": 0}
+    splu, spsolve, jacobian = spla.splu, spla.spsolve, AssemblyCache.jacobian
+
+    def counting_splu(*args, **kwargs):
+        counts["splu"] += 1
+        return _CountingLU(splu(*args, **kwargs), counts)
+
+    def counting_spsolve(*args, **kwargs):
+        counts["spsolve"] += 1
+        return spsolve(*args, **kwargs)
+
+    def counting_jacobian(self, *args, **kwargs):
+        counts["matrices"] += 1
+        return jacobian(self, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(spla, "spsolve", counting_spsolve)
+    monkeypatch.setattr(AssemblyCache, "jacobian", counting_jacobian)
+    return counts
+
+
+def test_each_linear_system_factored_once(monkeypatch):
+    # linear_rtol = 0 forces the refinement step on every system
+    counts = _count_linear_algebra(monkeypatch)
+    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip(),
+                          config=SolveConfig(linear_rtol=0.0))
+    assert rep.converged and rep.iterations >= 3
+    # one Picard matrix for the initial iterate, one Jacobian per Newton step
+    assert counts["matrices"] == 1 + rep.iterations + rep.picard_sweeps
+    assert counts["splu"] == counts["matrices"]
+    assert counts["spsolve"] == 0
+    assert counts["lu_solves"] == 2 * counts["splu"]
+
+
+def _two_spsolve_linear_solve(J, rhs, rtol):
+    # the former path: the refinement step factors J a second time
+    delta = spla.spsolve(J.tocsc(), rhs)
+    if not np.all(np.isfinite(delta)):
+        raise np.linalg.LinAlgError("singular Jacobian")
+    nr = np.linalg.norm(rhs)
+    if nr > 0 and np.linalg.norm(J @ delta - rhs) / nr > rtol:
+        delta = delta + spla.spsolve(J.tocsc(), rhs - J @ delta)
+    return delta
+
+
+def test_factor_reuse_matches_two_spsolve_path(monkeypatch):
+    m = builtin_model("nil3", (0.5,))
+    cfg = SolveConfig(linear_rtol=0.0)
+    rep = solve_dirichlet(m, _clamped_strip(), config=cfg)
+    monkeypatch.setattr(solver, "_linear_solve", _two_spsolve_linear_solve)
+    ref = solve_dirichlet(m, _clamped_strip(), config=cfg)
+    assert rep.converged and ref.converged
+    assert rep.iterations == ref.iterations
+    assert rep.picard_sweeps == ref.picard_sweeps
+    np.testing.assert_allclose(rep.damping_history, ref.damping_history,
+                               rtol=1e-14, atol=0.0)
+    inter = _clamped_strip().interior_mask()
+    scale = np.max(np.abs(ref.u.values[inter]))
+    assert np.max(np.abs(rep.u.values[inter] - ref.u.values[inter])) <= 1e-14 * scale
+
+
+def _splu_singular_from(monkeypatch, n_ok):
+    """Let the first ``n_ok`` factorizations succeed, then report singular."""
+    splu = spla.splu
+    calls = []
+
+    def flaky_splu(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > n_ok:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", flaky_splu)
+    return calls
+
+
+def test_singular_initial_picard_reported_not_raised(monkeypatch):
+    calls = _splu_singular_from(monkeypatch, 0)
+    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip())
+    assert not rep.converged
+    assert rep.iterations == 0 and len(calls) == 1
+    assert "singular Picard" in rep.message
+    assert np.isfinite(rep.residual_norm)
+
+
+def test_singular_picard_fallback_reported_not_raised(monkeypatch):
+    # the initial Picard solve succeeds, the first Jacobian is singular and
+    # so is the Picard system that replaces it
+    calls = _splu_singular_from(monkeypatch, 1)
+    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip())
+    assert not rep.converged
+    assert rep.iterations == 1 and len(calls) == 3
+    assert rep.picard_sweeps == 0
+    assert "singular Picard" in rep.message
+    assert np.isfinite(rep.residual_norm)
