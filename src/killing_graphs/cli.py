@@ -215,10 +215,8 @@ def cmd_solve(cfg: dict, args) -> int:
     W = np.sqrt(1.0 + cache.MU ** 2 * (G1 ** 2 + G2 ** 2))
     NU = cache.MU / W
     X, Y = dom.coords()
-    rows = []
-    for j, i in zip(*np.nonzero(dom.interior_mask())):
-        rows.append((X[j, i], Y[j, i], rep.u.values[j, i], W[j, i], NU[j, i],
-                     res.values[j, i]))
+    m = dom.interior_mask()
+    rows = np.column_stack([X[m], Y[m], rep.u.values[m], W[m], NU[m], res.values[m]])
     _write_csv(out / "solution.csv", ["x", "y", "u", "W", "nu", "residual"], rows)
     _write_json(out / "report.json", {
         "converged": rep.converged,

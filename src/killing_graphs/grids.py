@@ -229,16 +229,23 @@ class GridDomain:
         new._check()
         return new
 
-    # -- validation ----------------------------------------------------------
+    # -- neighbours and validation --------------------------------------------
 
-    def neighbor(self, j: int, i: int, dj: int, di: int):
+    def neighbors(self, axis: int, step: int):
+        """Each node's neighbour ``step`` nodes along ``axis`` (theta wraps on
+        periodic grids): its flat index, or the node's own index where the
+        lattice ends, and whether that neighbour exists and is carried."""
         n1, n0 = self.status.shape
-        jj, ii = j + dj, i + di
-        if self.periodic:
-            jj %= n1
-        if not (0 <= jj < n1 and 0 <= ii < n0):
-            return None
-        return jj, ii
+        J, I = np.indices((n1, n0))
+        if axis == 0:
+            jj, ii = J + step, I
+            if self.periodic:
+                jj %= n1
+        else:
+            jj, ii = J, I + step
+        inside = (0 <= jj) & (jj < n1) & (0 <= ii) & (ii < n0)
+        nb = np.where(inside, jj * n0 + ii, J * n0 + I)
+        return nb, inside & self.carried().ravel()[nb]
 
     def _check(self):
         st = self.status
@@ -248,15 +255,13 @@ class GridDomain:
         if np.any(~np.isfinite(self.bdata[bm])):
             raise ValueError("boundary data must be finite at every boundary node")
         # reject degenerate masks: interior nodes need >= 2 carried neighbors
-        for j, i in zip(*np.nonzero(st == INTERIOR)):
-            n_ok = 0
-            for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-                nb = self.neighbor(j, i, dj, di)
-                if nb is not None and st[nb] in _CARRIED:
-                    n_ok += 1
-            if n_ok < 2:
-                raise ValueError(f"degenerate mask: interior node {(j, i)} has "
-                                 f"{n_ok} carried neighbors")
+        n_ok = sum(self.neighbors(axis, step)[1].astype(int)
+                   for axis in (0, 1) for step in (1, -1))
+        bad = np.argwhere((st == INTERIOR) & (n_ok < 2))
+        if bad.size:
+            j, i = (int(k) for k in bad[0])
+            raise ValueError(f"degenerate mask: interior node {(j, i)} has "
+                             f"{n_ok[j, i]} carried neighbors")
 
 
 @dataclass

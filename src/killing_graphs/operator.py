@@ -9,7 +9,10 @@ element at the half-edge is computed from the half-edge gradient.
 
 The same edge tables drive the residual, the exact Jacobian and the
 discrete divergence-theorem check, so the three are consistent by
-construction.
+construction.  One flux kernel serves the Newton residual and the Picard
+residual (area element frozen); the residual is one scatter into the
+unknown rows, and the Jacobian's sparsity pattern is built once per
+AssemblyCache, so each call computes only the values.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class _EdgeFamily:
     an: np.ndarray         # normal connection component (edge-averaged)
     at: np.ndarray         # tangential connection component (edge-averaged)
     len_n: np.ndarray      # normal length scale (denominator of du)
-    gmul: np.ndarray       # geometric flux multiplier (rbar on radial edges)
+    coef: np.ndarray       # flux coefficient gmul * lam * mu2 (gmul = rbar on radial edges)
     t_ids: np.ndarray      # (m, 4) stencil ids of the tangential form
     t_w: np.ndarray        # (m, 4) weights of the tangential form
     cA: np.ndarray         # +coefficient into the PDE row of A (0 if none)
@@ -108,10 +111,16 @@ class _EdgeFamily:
     rowA: np.ndarray       # unknown row of A (-1 when not a PDE row)
     rowB: np.ndarray
     htrans: np.ndarray     # transverse length for boundary-flux bookkeeping
+    jac_mask: Optional[np.ndarray] = None   # (6, 2, m) Jacobian entries kept:
+                                            # stencil node x side x edge
 
 
 class AssemblyCache(NodeFields):
-    """Static tables binding a MetricModel to a GridDomain."""
+    """Static tables binding a MetricModel to a GridDomain.
+
+    Besides the edge families it holds the residual's scatter rows and the
+    Jacobian's sparsity pattern, both built once here.
+    """
 
     def __init__(self, model: MetricModel, dom: GridDomain):
         super().__init__(model, dom)
@@ -135,54 +144,56 @@ class AssemblyCache(NodeFields):
             self.inv_fac = 1.0 / lam2
             self.cell = lam2 * dom.hx * dom.hy
 
-        self._node_slope_forms()
-        self.fam_i = self._build_family(axis=1)
-        self.fam_j = self._build_family(axis=0)
-        self.bridge_rows = []
-        for (j, i), ((j1, i1), (j2, i2)) in dom.bridges.items():
-            row = self.unknown_ids[j * n0 + i]
-            self.bridge_rows.append((row, j * n0 + i, j1 * n0 + i1, j2 * n0 + i2))
+        self.slope0_ids, self.slope0_w = self._slope_form(axis=0)
+        self.slope1_ids, self.slope1_w = self._slope_form(axis=1)
+        self.families = (self._build_family(axis=1), self._build_family(axis=0))
+
+        # bridge rows u_p - (u_q1 + u_q2) / 2, as (nb, 3) node arrays [p, q1, q2]
+        bridge = np.array([[j * n0 + i for j, i in (p, *pair)]
+                           for p, pair in dom.bridges.items()], dtype=np.int64).reshape(-1, 3)
+        self.bridge_nodes = bridge
+        self.bridge_rows = self.unknown_ids[bridge[:, 0]]
+
+        # one scatter: rowA then rowB per family; non-PDE rows land in a
+        # spare slot n_unknowns that is dropped
+        scatter = np.concatenate([r for fam in self.families for r in (fam.rowA, fam.rowB)])
+        self._scatter_rows = np.where(scatter >= 0, scatter, self.n_unknowns)
+
+        # the Jacobian pattern, in the order the values are produced per call
+        bcols = self.unknown_ids[bridge]
+        bkeep = bcols >= 0
+        self._bridge_vals = np.broadcast_to([1.0, -0.5, -0.5], bridge.shape)[bkeep]
+        jrows, jcols = [], []
+        for fam in self.families:
+            # each edge flux depends on B, A, then the tangential form's nodes
+            cols = self.unknown_ids[np.concatenate([fam.B[None], fam.A[None], fam.t_ids.T])]
+            rows = np.stack([fam.rowA, fam.rowB])
+            fam.jac_mask = (rows >= 0) & (cols >= 0)[:, None, :]
+            jrows.append(np.broadcast_to(rows, fam.jac_mask.shape)[fam.jac_mask])
+            jcols.append(np.broadcast_to(cols[:, None, :], fam.jac_mask.shape)[fam.jac_mask])
+        jrows.append(np.broadcast_to(self.bridge_rows[:, None], bridge.shape)[bkeep])
+        jcols.append(bcols[bkeep])
+        self._jac_rows = np.concatenate(jrows).astype(np.int32)
+        self._jac_cols = np.concatenate(jcols).astype(np.int32)
 
     # -- per-node directional slope forms -----------------------------------
 
-    def _node_slope_forms(self):
+    def _slope_form(self, axis: int):
+        """Central or one-sided difference form along ``axis`` at every node:
+        (n1, n0, 2) flat node ids (plus, minus) and weights.  A node with no
+        carried neighbour on the axis gets a zero-weight form anchored on
+        itself, so padded entries never touch NaN values."""
         dom = self.dom
-        n1, n0 = self.n1, self.n0
-        st = dom.status
-
-        def build(axis):
-            ids = np.zeros((n1, n0, 2), dtype=np.int64)
-            w = np.zeros((n1, n0, 2))
-            dj, di = (1, 0) if axis == 0 else (0, 1)
-            for j in range(n1):
-                for i in range(n0):
-                    if st[j, i] not in _CARRIED:
-                        continue
-                    nb_p = dom.neighbor(j, i, dj, di)
-                    nb_m = dom.neighbor(j, i, -dj, -di)
-                    ok_p = nb_p is not None and st[nb_p] in _CARRIED
-                    ok_m = nb_m is not None and st[nb_m] in _CARRIED
-                    if axis == 0:
-                        d = dom.hy if dom.kind == "cartesian" else dom.ht * (dom.r_start + dom.hr * i)
-                    else:
-                        d = dom.hx if dom.kind == "cartesian" else dom.hr
-                    if ok_p and ok_m:
-                        ids[j, i] = (nb_p[0] * n0 + nb_p[1], nb_m[0] * n0 + nb_m[1])
-                        w[j, i] = (0.5 / d, -0.5 / d)
-                    elif ok_p:
-                        ids[j, i] = (nb_p[0] * n0 + nb_p[1], j * n0 + i)
-                        w[j, i] = (1.0 / d, -1.0 / d)
-                    elif ok_m:
-                        ids[j, i] = (j * n0 + i, nb_m[0] * n0 + nb_m[1])
-                        w[j, i] = (1.0 / d, -1.0 / d)
-                    else:
-                        # no usable neighbor: zero-weight form anchored on the
-                        # node itself so padded entries never touch NaN values
-                        ids[j, i] = (j * n0 + i, j * n0 + i)
-            return ids, w
-
-        self.slope0_ids, self.slope0_w = build(axis=0)
-        self.slope1_ids, self.slope1_w = build(axis=1)
+        if axis == 0:
+            d = dom.hy if dom.kind == "cartesian" else dom.ht * dom.r_values()
+        else:
+            d = dom.hx if dom.kind == "cartesian" else dom.hr
+        here = np.arange(self.n1 * self.n0).reshape(self.n1, self.n0)
+        nb_p, ok_p = dom.neighbors(axis, 1)
+        nb_m, ok_m = dom.neighbors(axis, -1)
+        ids = np.stack([np.where(ok_p, nb_p, here), np.where(ok_m, nb_m, here)], axis=-1)
+        w = np.where(ok_p & ok_m, 0.5, np.where(ok_p | ok_m, 1.0, 0.0)) / d
+        return ids, np.stack([w, -w], axis=-1)
 
     # -- edge families -------------------------------------------------------
 
@@ -247,38 +258,40 @@ class AssemblyCache(NodeFields):
         cB = np.where(rowB >= 0, inv[Bf] / div, 0.0)
 
         return _EdgeFamily(A=Af, B=Bf, lam=lam_e, mu2=mu2_e, an=an_e, at=at_e,
-                           len_n=len_n, gmul=gmul, t_ids=t_ids, t_w=t_w,
+                           len_n=len_n, coef=gmul * lam_e * mu2_e, t_ids=t_ids, t_w=t_w,
                            cA=cA, cB=cB, rowA=rowA, rowB=rowB, htrans=htrans)
 
     # -- flux evaluation -------------------------------------------------------
 
-    def _edge_state(self, fam: _EdgeFamily, u_flat: np.ndarray):
+    def _edge_state(self, fam: _EdgeFamily, u_flat: np.ndarray, Wf=None):
+        """(G1, G2, W, flux) on the edges of ``fam``; with a frozen area
+        element ``Wf`` the flux is the Picard form coef * G1 / Wf."""
         d = (u_flat[fam.B] - u_flat[fam.A]) / fam.len_n
         t = np.einsum("ek,ek->e", fam.t_w, u_flat[fam.t_ids])
         G1 = d / fam.lam - fam.an
         G2 = t / fam.lam - fam.at
         W = np.sqrt(1.0 + fam.mu2 * (G1 * G1 + G2 * G2))
-        coef = fam.gmul * fam.lam * fam.mu2
-        flux = coef * G1 / W
-        return G1, G2, W, coef, flux
+        flux = fam.coef * G1 / (W if Wf is None else Wf)
+        return G1, G2, W, flux
 
-    def residual(self, u_grid: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def residual(self, u_grid: np.ndarray, rhs: np.ndarray,
+                 frozen_W: Optional[list] = None) -> np.ndarray:
         """PDE residual + bridge constraints over the unknown rows.
 
         ``u_grid`` is the full lattice array (Dirichlet values baked in);
-        ``rhs`` is the nodal 2*mu*H array.
+        ``rhs`` is the nodal 2*mu*H array.  With ``frozen_W`` (per-family W
+        arrays) the flux is coef * G1 / W_frozen: the Picard residual.
         """
         u_flat = u_grid.ravel()
-        F = np.zeros(self.n_unknowns)
-        for fam in (self.fam_i, self.fam_j):
-            flux = self._edge_state(fam, u_flat)[4]
-            mA = fam.rowA >= 0
-            np.add.at(F, fam.rowA[mA], flux[mA] * fam.cA[mA])
-            mB = fam.rowB >= 0
-            np.add.at(F, fam.rowB[mB], -flux[mB] * fam.cB[mB])
+        parts = []
+        for fam, Wf in zip(self.families, frozen_W or (None, None)):
+            flux = self._edge_state(fam, u_flat, Wf)[3]
+            parts += [flux * fam.cA, -flux * fam.cB]
+        F = np.bincount(self._scatter_rows, np.concatenate(parts),
+                        self.n_unknowns + 1)[:-1]
         F[self.pde_row_mask] -= rhs.ravel()[self.flat_unknown[self.pde_row_mask]]
-        for row, p, q1, q2 in self.bridge_rows:
-            F[row] = u_flat[p] - 0.5 * (u_flat[q1] + u_flat[q2])
+        p, q1, q2 = self.bridge_nodes.T
+        F[self.bridge_rows] = u_flat[p] - 0.5 * (u_flat[q1] + u_flat[q2])
         return F
 
     def jacobian(self, u_grid: np.ndarray, frozen_W: Optional[list] = None) -> sp.csr_matrix:
@@ -288,50 +301,26 @@ class AssemblyCache(NodeFields):
         coef * G1 / W_frozen: the Picard operator.
         """
         u_flat = u_grid.ravel()
-        rows, cols, vals = [], [], []
-        for k, fam in enumerate((self.fam_i, self.fam_j)):
-            G1, G2, W, coef, _ = self._edge_state(fam, u_flat)
-            if frozen_W is not None:
-                Wf = frozen_W[k]
-                dF_dG1 = coef / Wf
+        vals = []
+        for fam, Wf in zip(self.families, frozen_W or (None, None)):
+            if Wf is not None:
+                dF_dG1 = fam.coef / Wf
                 dF_dG2 = np.zeros_like(dF_dG1)
             else:
-                dF_dG1 = coef * (W * W - fam.mu2 * G1 * G1) / W ** 3
-                dF_dG2 = -coef * fam.mu2 * G1 * G2 / W ** 3
-
-            stencil = [(fam.B, dF_dG1 / (fam.len_n * fam.lam)),
-                       (fam.A, -dF_dG1 / (fam.len_n * fam.lam))]
-            for k2 in range(4):
-                stencil.append((fam.t_ids[:, k2], dF_dG2 * fam.t_w[:, k2] / fam.lam))
-
-            for ids, dv in stencil:
-                col = self.unknown_ids[ids]
-                ok = col >= 0
-                mA = (fam.rowA >= 0) & ok
-                rows.append(fam.rowA[mA])
-                cols.append(col[mA])
-                vals.append((dv * fam.cA)[mA])
-                mB = (fam.rowB >= 0) & ok
-                rows.append(fam.rowB[mB])
-                cols.append(col[mB])
-                vals.append((-dv * fam.cB)[mB])
-
-        for row, p, q1, q2 in self.bridge_rows:
-            for node, w in ((p, 1.0), (q1, -0.5), (q2, -0.5)):
-                col = self.unknown_ids[node]
-                if col >= 0:
-                    rows.append(np.array([row]))
-                    cols.append(np.array([col]))
-                    vals.append(np.array([w]))
-
-        J = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
+                G1, G2, W, _ = self._edge_state(fam, u_flat)
+                dF_dG1 = fam.coef * (W * W - fam.mu2 * G1 * G1) / W ** 3
+                dF_dG2 = -fam.coef * fam.mu2 * G1 * G2 / W ** 3
+            dn = dF_dG1 / (fam.len_n * fam.lam)
+            dv = np.concatenate([dn[None], -dn[None], dF_dG2 * fam.t_w.T / fam.lam])
+            vals.append(np.stack([dv * fam.cA, -dv * fam.cB], axis=1)[fam.jac_mask])
+        vals.append(self._bridge_vals)
+        J = sp.coo_matrix((np.concatenate(vals), (self._jac_rows, self._jac_cols)),
                           shape=(self.n_unknowns, self.n_unknowns))
         return J.tocsr()
 
     def frozen_W(self, u_grid: np.ndarray) -> list:
         u_flat = u_grid.ravel()
-        return [self._edge_state(fam, u_flat)[2] for fam in (self.fam_i, self.fam_j)]
+        return [self._edge_state(fam, u_flat)[2] for fam in self.families]
 
     def flux_balance(self, u_grid: np.ndarray):
         """(volume sum of the discrete divergence, direct boundary-flux sum).
@@ -343,8 +332,8 @@ class AssemblyCache(NodeFields):
         cellw = self.cell.ravel()[self.flat_unknown]
         volume = float(np.sum(F[self.pde_row_mask] * cellw[self.pde_row_mask]))
         boundary = 0.0
-        for fam in (self.fam_i, self.fam_j):
-            flux = self._edge_state(fam, u_flat)[4]
+        for fam in self.families:
+            flux = self._edge_state(fam, u_flat)[3]
             outgoing = (fam.rowA >= 0) & (fam.rowB < 0)
             incoming = (fam.rowB >= 0) & (fam.rowA < 0)
             boundary += float(np.sum(flux[outgoing] * fam.htrans[outgoing]))

@@ -79,26 +79,9 @@ def _picard_solve(cache: AssemblyCache, u_grid: np.ndarray, rhs: np.ndarray,
     """Solve the affine frozen-coefficient system exactly (one linear solve)."""
     J = cache.jacobian(u_grid, frozen_W=frozen_W)
     vec = u_grid.ravel()[cache.flat_unknown].copy()
-    F = _frozen_residual(cache, u_grid, rhs, frozen_W)
+    F = cache.residual(u_grid, rhs, frozen_W=frozen_W)
     delta = _linear_solve(J, -F, rtol)
     return vec + delta
-
-
-def _frozen_residual(cache: AssemblyCache, u_grid, rhs, frozen_W):
-    u_flat = u_grid.ravel()
-    F = np.zeros(cache.n_unknowns)
-    for fam, Wf in zip((cache.fam_i, cache.fam_j), frozen_W):
-        d = (u_flat[fam.B] - u_flat[fam.A]) / fam.len_n
-        G1 = d / fam.lam - fam.an
-        flux = fam.gmul * fam.lam * fam.mu2 * G1 / Wf
-        mA = fam.rowA >= 0
-        np.add.at(F, fam.rowA[mA], flux[mA] * fam.cA[mA])
-        mB = fam.rowB >= 0
-        np.add.at(F, fam.rowB[mB], -flux[mB] * fam.cB[mB])
-    F[cache.pde_row_mask] -= rhs.ravel()[cache.flat_unknown[cache.pde_row_mask]]
-    for row, p, q1, q2 in cache.bridge_rows:
-        F[row] = u_flat[p] - 0.5 * (u_flat[q1] + u_flat[q2])
-    return F
 
 
 def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,

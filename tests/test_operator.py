@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from killing_graphs.grids import GridDomain, ScalarGrid
+from killing_graphs.experiments import disk_sin2theta_domain
+from killing_graphs.grids import BOUNDARY, GridDomain, ScalarGrid
 from killing_graphs.models import builtin_model, gauge_change
 from killing_graphs.fields import expr_field
 from killing_graphs.operator import (AssemblyCache, NodeFields, angle_function,
@@ -207,3 +209,174 @@ def test_vertical_translation_invariance_bitwise():
     F0 = cache.residual(vals, rhs)
     F1 = cache.residual(vals + 1.0, rhs)
     assert np.array_equal(F0, F1)
+
+
+# -- Jacobian and assembly tables -------------------------------------------------------
+
+def _assembly_cases():
+    """(name, model, domain, u) on a cartesian rectangle, a punctured masked
+    disk (one bridge row) and a periodic annulus."""
+    nil = builtin_model("nil3", (0.5,))
+    rect = GridDomain.rectangle(-1, 1, -1, 1, 1 / 8,
+                                boundary=lambda x, y: np.sin(3 * x) + x * y)
+    disk = disk_sin2theta_domain(1 / 8)
+    disk = disk.with_puncture(disk.nearest_node((0.25, 0.25)))
+    ann = GridDomain.annulus(1.0, 2.0, 6, 16, inner=lambda t: np.cos(t), outer=0.3)
+    rng = np.random.default_rng(2)
+    out = []
+    for name, dom in (("rectangle", rect), ("punctured-disk", disk), ("annulus", ann)):
+        X, Y = dom.coords()
+        u = np.sin(2 * X) + 0.5 * X * Y + 0.1 * rng.uniform(-1, 1, dom.shape)
+        u = np.where(dom.status == BOUNDARY, dom.bdata, u)
+        u[~dom.carried()] = np.nan
+        out.append((name, nil, dom, u))
+    return out
+
+
+def _with_unknowns(cache, u, vec):
+    v = u.copy()
+    v.ravel()[cache.flat_unknown] = vec
+    return v
+
+
+@pytest.mark.parametrize("case", _assembly_cases(), ids=lambda c: c[0])
+def test_jacobians_match_central_differences(case):
+    _, model, dom, u = case
+    cache = AssemblyCache(model, dom)
+    rhs = np.where(dom.carried(), 0.3, 0.0)
+    Wf = cache.frozen_W(u)
+    vec = u.ravel()[cache.flat_unknown]
+    eps = 1e-6
+    for frozen in (None, Wf):
+        J = cache.jacobian(u, frozen_W=frozen).toarray()
+        fd = np.empty_like(J)
+        for k in range(cache.n_unknowns):
+            e = np.zeros(cache.n_unknowns)
+            e[k] = eps
+            Fp = cache.residual(_with_unknowns(cache, u, vec + e), rhs, frozen_W=frozen)
+            Fm = cache.residual(_with_unknowns(cache, u, vec - e), rhs, frozen_W=frozen)
+            fd[:, k] = (Fp - Fm) / (2 * eps)
+        assert np.max(np.abs(J - fd)) <= 1e-8 * np.max(np.abs(J))
+
+
+# Reference assembly, one node or one stencil entry at a time: a per-node
+# slope loop, an np.add.at scatter and per-call COO triplets.  The cache's
+# whole-array tables must reproduce it bit for bit.
+
+def _reference_slope_forms(dom, axis):
+    n1, n0 = dom.shape
+    carried = dom.carried()
+    ids = np.zeros((n1, n0, 2), dtype=np.int64)
+    w = np.zeros((n1, n0, 2))
+    dj, di = (1, 0) if axis == 0 else (0, 1)
+
+    def neighbor(j, i):
+        if dom.periodic:
+            j %= n1
+        return (j, i) if 0 <= j < n1 and 0 <= i < n0 and carried[j, i] else None
+
+    for j in range(n1):
+        for i in range(n0):
+            if not carried[j, i]:
+                continue
+            p, m = neighbor(j + dj, i + di), neighbor(j - dj, i - di)
+            if axis == 0:
+                d = dom.hy if dom.kind == "cartesian" else dom.ht * (dom.r_start + dom.hr * i)
+            else:
+                d = dom.hx if dom.kind == "cartesian" else dom.hr
+            if p and m:
+                ids[j, i] = (p[0] * n0 + p[1], m[0] * n0 + m[1])
+                w[j, i] = (0.5 / d, -0.5 / d)
+            elif p:
+                ids[j, i] = (p[0] * n0 + p[1], j * n0 + i)
+                w[j, i] = (1.0 / d, -1.0 / d)
+            elif m:
+                ids[j, i] = (j * n0 + i, m[0] * n0 + m[1])
+                w[j, i] = (1.0 / d, -1.0 / d)
+            else:
+                ids[j, i] = (j * n0 + i, j * n0 + i)
+    return ids, w
+
+
+def _reference_flux(fam, u_flat, Wf):
+    d = (u_flat[fam.B] - u_flat[fam.A]) / fam.len_n
+    t = np.einsum("ek,ek->e", fam.t_w, u_flat[fam.t_ids])
+    G1 = d / fam.lam - fam.an
+    G2 = t / fam.lam - fam.at
+    W = np.sqrt(1.0 + fam.mu2 * (G1 * G1 + G2 * G2))
+    return G1, G2, W, fam.coef * G1 / (W if Wf is None else Wf)
+
+
+def _reference_bridges(cache):
+    n0 = cache.n0
+    for (j, i), ((j1, i1), (j2, i2)) in cache.dom.bridges.items():
+        yield cache.unknown_ids[j * n0 + i], j * n0 + i, j1 * n0 + i1, j2 * n0 + i2
+
+
+def _reference_residual(cache, u_grid, rhs, frozen_W=None):
+    u_flat = u_grid.ravel()
+    F = np.zeros(cache.n_unknowns)
+    for fam, Wf in zip(cache.families, frozen_W or (None, None)):
+        flux = _reference_flux(fam, u_flat, Wf)[3]
+        mA = fam.rowA >= 0
+        np.add.at(F, fam.rowA[mA], flux[mA] * fam.cA[mA])
+        mB = fam.rowB >= 0
+        np.add.at(F, fam.rowB[mB], -flux[mB] * fam.cB[mB])
+    F[cache.pde_row_mask] -= rhs.ravel()[cache.flat_unknown[cache.pde_row_mask]]
+    for row, p, q1, q2 in _reference_bridges(cache):
+        F[row] = u_flat[p] - 0.5 * (u_flat[q1] + u_flat[q2])
+    return F
+
+
+def _reference_jacobian(cache, u_grid, frozen_W=None):
+    u_flat = u_grid.ravel()
+    rows, cols, vals = [], [], []
+    for fam, Wf in zip(cache.families, frozen_W or (None, None)):
+        G1, G2, W, _ = _reference_flux(fam, u_flat, None)
+        if Wf is not None:
+            dF_dG1 = fam.coef / Wf
+            dF_dG2 = np.zeros_like(dF_dG1)
+        else:
+            dF_dG1 = fam.coef * (W * W - fam.mu2 * G1 * G1) / W ** 3
+            dF_dG2 = -fam.coef * fam.mu2 * G1 * G2 / W ** 3
+        stencil = [(fam.B, dF_dG1 / (fam.len_n * fam.lam)),
+                   (fam.A, -dF_dG1 / (fam.len_n * fam.lam))]
+        for k in range(4):
+            stencil.append((fam.t_ids[:, k], dF_dG2 * fam.t_w[:, k] / fam.lam))
+        for ids, dv in stencil:
+            col = cache.unknown_ids[ids]
+            for row, c, sign in ((fam.rowA, fam.cA, 1.0), (fam.rowB, fam.cB, -1.0)):
+                m = (row >= 0) & (col >= 0)
+                rows.append(row[m])
+                cols.append(col[m])
+                vals.append((sign * dv * c)[m])
+    for row, p, q1, q2 in _reference_bridges(cache):
+        for node, w in ((p, 1.0), (q1, -0.5), (q2, -0.5)):
+            col = cache.unknown_ids[node]
+            if col >= 0:
+                rows.append(np.array([row]))
+                cols.append(np.array([col]))
+                vals.append(np.array([w]))
+    J = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(cache.n_unknowns, cache.n_unknowns))
+    return J.tocsr()
+
+
+@pytest.mark.parametrize("case", _assembly_cases(), ids=lambda c: c[0])
+def test_assembly_bitwise_equal_to_reference(case):
+    _, model, dom, u = case
+    cache = AssemblyCache(model, dom)
+    carried = dom.carried()
+    for axis in (0, 1):
+        ids, w = _reference_slope_forms(dom, axis)
+        assert np.array_equal(getattr(cache, f"slope{axis}_ids")[carried], ids[carried])
+        assert np.array_equal(getattr(cache, f"slope{axis}_w")[carried], w[carried])
+    rhs = np.where(carried, 0.3, 0.0)
+    Wf = cache.frozen_W(u)
+    for frozen in (None, Wf):
+        assert np.array_equal(cache.residual(u, rhs, frozen_W=frozen),
+                              _reference_residual(cache, u, rhs, frozen_W=frozen))
+        J = cache.jacobian(u, frozen_W=frozen)
+        ref = _reference_jacobian(cache, u, frozen_W=frozen)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(J, attr), getattr(ref, attr))
