@@ -7,12 +7,17 @@ growth rate g(r) accumulates 1/L.  A divergent g forces any two graphs with
 equal boundary data and equal prescribed curvature to separate at least at
 the rate of g; the module also carries the iterated-log comparison family
 and the closed-form wedge and rotational-space estimates.
+
+Circles come from closed forms on the flat and hyperbolic bases.  On other
+bases they are traced by the RK4 geodesic flow from p, and a radius sweep
+(``g_of_r``) traces it once outward, with steps of at most r_max/256 that
+land on every radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -32,41 +37,80 @@ class GeodesicArc:
     center: tuple
 
 
-def _flow_circle(model: MetricModel, p, r: float, n_samples: int) -> GeodesicArc:
-    """Trace geodesics of lambda^2(dx^2+dy^2) from p in n directions (RK4)."""
-    lam = model.lam
+def _circles(model: MetricModel, p, radii, n_samples: int,
+             mask: Optional[Callable]) -> Iterator[GeodesicArc]:
+    """Yield the sampled geodesic circle about p for each of the increasing
+    ``radii``, lazily: a circle that exits the chart raises before any later
+    radius is traced.
+
+    Without a closed form, geodesics of lambda^2(dx^2+dy^2) are traced from p
+    once outward (RK4).  Steps are at most ``radii[-1]/256``, and each gap
+    between radii is cut into equal steps, so every step lands on a radius.
+    """
+    if float(radii[0]) <= 0:
+        raise ValueError("radius must be positive")
     x0, y0 = float(p[0]), float(p[1])
-    phis = 2 * np.pi * np.arange(n_samples) / n_samples
-    lam0 = float(lam.value(x0, y0))
-    X = np.full(n_samples, x0)
-    Y = np.full(n_samples, y0)
-    VX = np.cos(phis) / lam0
-    VY = np.sin(phis) / lam0
+    phis = 2 * np.pi * (np.arange(n_samples) + 0.5) / n_samples
+    dphi = 2 * np.pi / n_samples
+    kind = model.base_kind
+    if kind == "hyperbolic-disk" and np.hypot(x0, y0) >= 1e-12:
+        kind = "generic"  # the closed form is centred at the origin
+    if kind not in ("flat", "hyperbolic-disk", "hyperbolic-halfplane"):
+        lam = model.lam
+        lam0 = float(lam.value(x0, y0))
+        state = np.array([np.full(n_samples, x0), np.full(n_samples, y0),
+                          np.cos(phis) / lam0, np.sin(phis) / lam0])
+        h_max = float(radii[-1]) / 256
+        r_prev = 0.0
 
-    def rhs(state):
-        x, y, vx, vy = state
-        lv = lam.value(x, y)
-        lx, ly = lam.partials(x, y)
-        px, py = lx / lv, ly / lv
-        ax = -(px * (vx * vx - vy * vy) + 2.0 * py * vx * vy)
-        ay = -(py * (vy * vy - vx * vx) + 2.0 * px * vx * vy)
-        return np.array([vx, vy, ax, ay])
+        def rhs(state):
+            x, y, vx, vy = state
+            lv = lam.value(x, y)
+            lx, ly = lam.partials(x, y)
+            px, py = lx / lv, ly / lv
+            ax = -(px * (vx * vx - vy * vy) + 2.0 * py * vx * vy)
+            ay = -(py * (vy * vy - vx * vx) + 2.0 * px * vx * vy)
+            return np.array([vx, vy, ax, ay])
 
-    n_steps = 256  # step r/256
-    dt = r / n_steps
-    state = np.array([X, Y, VX, VY])
-    for _ in range(n_steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * dt * k1)
-        k3 = rhs(state + 0.5 * dt * k2)
-        k4 = rhs(state + dt * k3)
-        state = state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    pts = np.column_stack([state[0], state[1]])
-    lamv = model.lam.value(pts[:, 0], pts[:, 1])
-    nxt = np.roll(pts, -1, axis=0)
-    prv = np.roll(pts, 1, axis=0)
-    chord = 0.5 * (np.hypot(*(nxt - pts).T) + np.hypot(*(pts - prv).T))
-    return GeodesicArc(points=pts, weights=lamv * chord, radius=r, center=(x0, y0))
+    for r in radii:
+        r = float(r)
+        if kind == "flat":
+            pts = np.column_stack([x0 + r * np.cos(phis), y0 + r * np.sin(phis)])
+            w = np.full(n_samples, r * dphi)
+        elif kind == "hyperbolic-disk":
+            re = np.tanh(r / 2.0)
+            pts = np.column_stack([re * np.cos(phis), re * np.sin(phis)])
+            w = np.full(n_samples, np.sinh(r) * dphi)
+        elif kind == "hyperbolic-halfplane":
+            cy = y0 * np.cosh(r)
+            Re = y0 * np.sinh(r)
+            ys = cy + Re * np.sin(phis)
+            pts = np.column_stack([x0 + Re * np.cos(phis), ys])
+            w = Re * dphi / ys
+        else:
+            n_steps = max(1, int(np.ceil((r - r_prev) / h_max)))
+            dt = (r - r_prev) / n_steps
+            for _ in range(n_steps):
+                k1 = rhs(state)
+                k2 = rhs(state + 0.5 * dt * k1)
+                k3 = rhs(state + 0.5 * dt * k2)
+                k4 = rhs(state + dt * k3)
+                state = state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            r_prev = r
+            pts = np.column_stack([state[0], state[1]])
+            lamv = lam.value(pts[:, 0], pts[:, 1])
+            nxt = np.roll(pts, -1, axis=0)
+            prv = np.roll(pts, 1, axis=0)
+            chord = 0.5 * (np.hypot(*(nxt - pts).T) + np.hypot(*(pts - prv).T))
+            w = lamv * chord
+
+        ok = model.valid(pts[:, 0], pts[:, 1])
+        if not np.all(ok):
+            raise ValueError(f"geodesic circle of radius {r} exits the chart")
+        if mask is not None:
+            keep = np.asarray(mask(pts[:, 0], pts[:, 1]), dtype=bool)
+            pts, w = pts[keep], w[keep]
+        yield GeodesicArc(points=pts, weights=w, radius=r, center=(x0, y0))
 
 
 def geodesic_circle(model: MetricModel, p, r: float, n_samples: int = 512,
@@ -74,39 +118,13 @@ def geodesic_circle(model: MetricModel, p, r: float, n_samples: int = 512,
     """Sampled geodesic circle of base-metric radius r about p.
 
     Closed forms cover the flat and hyperbolic presets; other metrics are
-    traced by integrating the geodesic flow.  Samples outside ``mask`` are
-    dropped (the intersection with the domain).
+    traced by the RK4 geodesic flow from p, in 256 steps of r/256.  A radius
+    sweep (``g_of_r``) traces the flow once outward, with steps of at most
+    r_max/256 that land on every radius.  Both paths sample the directions
+    2 pi (k + 1/2)/n.  Samples outside ``mask`` are dropped (the intersection
+    with the domain).
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    x0, y0 = float(p[0]), float(p[1])
-    phis = 2 * np.pi * (np.arange(n_samples) + 0.5) / n_samples
-    dphi = 2 * np.pi / n_samples
-
-    if model.base_kind == "flat":
-        pts = np.column_stack([x0 + r * np.cos(phis), y0 + r * np.sin(phis)])
-        w = np.full(n_samples, r * dphi)
-    elif model.base_kind == "hyperbolic-disk" and np.hypot(x0, y0) < 1e-12:
-        re = np.tanh(r / 2.0)
-        pts = np.column_stack([re * np.cos(phis), re * np.sin(phis)])
-        w = np.full(n_samples, np.sinh(r) * dphi)
-    elif model.base_kind == "hyperbolic-halfplane":
-        cy = y0 * np.cosh(r)
-        Re = y0 * np.sinh(r)
-        ys = cy + Re * np.sin(phis)
-        pts = np.column_stack([x0 + Re * np.cos(phis), ys])
-        w = Re * dphi / ys
-    else:
-        arc = _flow_circle(model, p, r, n_samples)
-        pts, w = arc.points, arc.weights
-
-    ok = model.valid(pts[:, 0], pts[:, 1])
-    if not np.all(ok):
-        raise ValueError(f"geodesic circle of radius {r} exits the chart")
-    if mask is not None:
-        keep = np.asarray(mask(pts[:, 0], pts[:, 1]), dtype=bool)
-        pts, w = pts[keep], w[keep]
-    return GeodesicArc(points=pts, weights=w, radius=r, center=(x0, y0))
+    return next(_circles(model, p, [r], n_samples, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +207,14 @@ def g_of_r(model: MetricModel, p, r0: float, r_max: float, n_radii: int = 200,
            spacing: str = "log") -> GrowthProfile:
     """Sample L(r) on geodesic circles and accumulate g(r) by trapezoid.
 
-    Radii are log-spaced by default (1/L typically decays like a power, so
-    this equidistributes the trapezoid error); pass spacing="linear" for a
-    uniform grid.  The reported verdict classifies the dyadic-window
-    increments of g.  When a mask is supplied, the first radius whose arc
-    keeps at least ``min_arc_samples`` samples becomes the effective r0.
+    The circles of all radii come from one outward pass (see
+    ``geodesic_circle``), and a circle that exits the chart raises before any
+    later radius is traced.  Radii are log-spaced by default (1/L typically
+    decays like a power, so this equidistributes the trapezoid error); pass
+    spacing="linear" for a uniform grid.  The reported verdict classifies
+    the dyadic-window increments of g.  When a mask is supplied, the first
+    radius whose arc keeps at least ``min_arc_samples`` samples becomes the
+    effective r0.
     """
     if not r_max > r0 > 0:
         raise ValueError("need r_max > r0 > 0")
@@ -207,15 +228,14 @@ def g_of_r(model: MetricModel, p, r0: float, r_max: float, n_radii: int = 200,
     else:
         raise ValueError("spacing must be 'log' or 'linear'")
     arcs, Ls, used = [], [], []
-    for r in radii:
-        arc = geodesic_circle(model, p, float(r), n_samples=n_arc, mask=mask)
+    for arc in _circles(model, p, radii, n_arc, mask):
         if len(arc.points) < min_arc_samples:
             if used:
-                raise ValueError(f"circle r={r} lost the domain after r0")
+                raise ValueError(f"circle r={arc.radius} lost the domain after r0")
             continue
         arcs.append(arc)
         Ls.append(L_fn(model, arc))
-        used.append(float(r))
+        used.append(arc.radius)
     if len(used) < 4:
         raise ValueError("fewer than 4 usable circles: enlarge [r0, r_max]")
     used = np.asarray(used)

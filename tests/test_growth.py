@@ -40,10 +40,13 @@ def test_masked_semicircle():
 
 def test_flow_traced_circle_matches_closed_form():
     m = builtin_model("sol3-disk")
+    closed = geodesic_circle(m, (0, 0), 1.0, 64)
     m.base_kind = "generic"  # force the RK4 geodesic-flow path
     arc = geodesic_circle(m, (0, 0), 1.0, 64)
     re = np.hypot(arc.points[:, 0], arc.points[:, 1])
     assert np.max(np.abs(re - np.tanh(0.5))) <= 1e-10
+    # both paths sample the directions 2 pi (k + 1/2)/n
+    assert np.max(np.abs(arc.points - closed.points)) <= 1e-10
     assert np.sum(arc.weights) == pytest.approx(2 * np.pi * np.sinh(1.0), rel=1e-3)
 
 
@@ -52,6 +55,49 @@ def test_circle_exits_chart():
     m = builtin_model("euclidean", chart=Rect(-1, 1, -1, 1))
     with pytest.raises(ValueError, match="exits the chart"):
         geodesic_circle(m, (0, 0), 2.0)
+
+
+def test_flow_profile_matches_closed_form_at_disk_centre():
+    m = builtin_model("sol3-disk")
+    closed = g_of_r(m, (0, 0), 0.1, 2.0, n_radii=200)
+    m.base_kind = "generic"  # one outward RK4 pass for all 200 radii
+    flow = g_of_r(m, (0, 0), 0.1, 2.0, n_radii=200)
+    assert np.array_equal(flow.radii, closed.radii)
+    assert np.max(np.abs(flow.L / closed.L - 1.0)) <= 1e-5
+    assert np.max(np.abs(flow.g[1:] / closed.g[1:] - 1.0)) <= 1e-5
+
+
+@pytest.mark.parametrize("mask", [None, lambda x, y: y > 0.05])
+def test_sweep_arcs_match_single_circles(mask):
+    m = builtin_model("sol3-disk")
+    p = (0.3, 0.1)  # off centre: traced by the geodesic flow
+    prof = g_of_r(m, p, 0.1, 2.0, n_radii=12, n_arc=256, mask=mask)
+    assert len(prof.arcs) >= 8
+    for arc in prof.arcs:
+        single = geodesic_circle(m, p, arc.radius, 256, mask=mask)
+        assert len(arc.points) == len(single.points)
+        assert L_plain(m, arc) == pytest.approx(L_plain(m, single), rel=1e-10)
+        assert np.sum(arc.weights) == pytest.approx(np.sum(single.weights), rel=1e-10)
+
+
+def test_sweep_stops_at_first_chart_exit(monkeypatch):
+    from killing_graphs.fields import ScalarField
+    from killing_graphs.models import Rect
+    m = builtin_model("euclidean", chart=Rect(-1, 1, -1, 1))
+    m.base_kind = "generic"  # straight geodesics traced by the flow
+    reached = []
+    partials = ScalarField.partials
+
+    def counted(self, x, y):
+        reached.append(float(np.max(np.hypot(x, y))))
+        return partials(self, x, y)
+
+    monkeypatch.setattr(ScalarField, "partials", counted)
+    # radii 0.3, 0.6, ..., 1.8: the circle of radius 1.2 is the first to leave
+    with pytest.raises(ValueError, match=r"radius 1\.2\d* exits the chart"):
+        g_of_r(m, (0, 0), 0.3, 1.8, n_radii=6, spacing="linear", min_arc_samples=1)
+    assert reached
+    assert max(reached) <= 1.2 + 1e-12
 
 
 # -- L functionals -----------------------------------------------------------------
