@@ -219,6 +219,7 @@ def cmd_solve(cfg: dict, args) -> int:
     _write_csv(out / "solution.csv", ["x", "y", "u", "W", "nu", "residual"], rows)
     _write_json(out / "report.json", {
         "converged": rep.converged,
+        "stop_reason": rep.stop_reason,
         "iterations": rep.iterations,
         "residual_norm": rep.residual_norm,
         "tolerance": rep.tolerance,
@@ -282,6 +283,16 @@ def cmd_growth(cfg: dict, args) -> int:
     return 0
 
 
+def _experiment_exit(name: str, converged) -> int:
+    """2 when any solve of the experiment did not converge, as in ``solve``."""
+    failed = sum(not c for c in converged)
+    if failed:
+        print(f"{name}: {failed} of {len(converged)} solves NOT converged "
+              f"(see the json report)", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _exp_nil_strip(cfg, out):
     ec = cfg.get("experiment", {})
     rep = nil.strip_uniqueness_experiment(float(ec.get("tau", 0.5)),
@@ -298,9 +309,11 @@ def _exp_nil_strip(cfg, out):
         "strictly_decreasing": all(b < a for a, b in zip(sups, sups[1:])),
         "barrier_comparison_passed": rep.barrier_ok,
         "note": rep.note,
+        "runs": [{"n": r.n, "converged": r.converged,
+                  "stop_reason": r.report.stop_reason} for r in rep.runs],
     })
     print(f"nil-strip: core sups {['%.6g' % s for s in sups]}; wrote {out/'nil_strip.csv'}")
-    return 0
+    return _experiment_exit("nil-strip", [r.converged for r in rep.runs])
 
 
 def _exp_removable(cfg, out):
@@ -326,10 +339,16 @@ def _exp_removable(cfg, out):
         "case": case,
         "differences": [r.max_difference for r in rep.runs],
         "monotone_decay": rep.monotone_decay,
+        "runs": [{"h": r.h,
+                  "full_converged": r.full_converged,
+                  "full_stop_reason": r.full_stop_reason,
+                  "punctured_converged": r.punctured_converged,
+                  "punctured_stop_reason": r.punctured_stop_reason} for r in rep.runs],
     })
     print(f"removable-singularity[{case}]: diffs "
           f"{['%.3e' % r.max_difference for r in rep.runs]}, monotone={rep.monotone_decay}")
-    return 0
+    return _experiment_exit("removable-singularity",
+                            [c for r in rep.runs for c in (r.full_converged, r.punctured_converged)])
 
 
 def _exp_ck_fit(cfg, out):

@@ -26,6 +26,10 @@ class PunctureRun:
     max_difference: float
     full_iterations: int
     punctured_iterations: int
+    full_converged: bool
+    punctured_converged: bool
+    full_stop_reason: str
+    punctured_stop_reason: str
 
 
 @dataclass
@@ -59,7 +63,11 @@ def removable_singularity_experiment(model: MetricModel,
         diff = float(np.max(np.abs(rep_full.u.values[mask] - rep_p.u.values[mask])))
         runs.append(PunctureRun(h=h, node=node, max_difference=diff,
                                 full_iterations=rep_full.iterations,
-                                punctured_iterations=rep_p.iterations))
+                                punctured_iterations=rep_p.iterations,
+                                full_converged=rep_full.converged,
+                                punctured_converged=rep_p.converged,
+                                full_stop_reason=rep_full.stop_reason,
+                                punctured_stop_reason=rep_p.stop_reason))
     diffs = [r.max_difference for r in runs]
     monotone = all(b < a for a, b in zip(diffs[:-1], diffs[1:]))
     return RemovableSingularityReport(runs=runs, monotone_decay=monotone)

@@ -103,6 +103,10 @@ class StripRun:
     core_sup: float
     report: SolveReport = field(repr=False)
 
+    @property
+    def converged(self) -> bool:
+        return self.report.converged
+
 
 @dataclass
 class StripUniquenessReport:

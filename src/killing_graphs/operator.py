@@ -265,14 +265,16 @@ class AssemblyCache(NodeFields):
 
     def _edge_state(self, fam: _EdgeFamily, u_flat: np.ndarray, Wf=None):
         """(G1, G2, W, flux) on the edges of ``fam``; with a frozen area
-        element ``Wf`` the flux is the Picard form coef * G1 / Wf."""
+        element ``Wf`` the flux is the Picard form coef * G1 / Wf, which
+        reads neither G2 nor W, so both are None."""
         d = (u_flat[fam.B] - u_flat[fam.A]) / fam.len_n
-        t = np.einsum("ek,ek->e", fam.t_w, u_flat[fam.t_ids])
         G1 = d / fam.lam - fam.an
+        if Wf is not None:
+            return G1, None, None, fam.coef * G1 / Wf
+        t = np.einsum("ek,ek->e", fam.t_w, u_flat[fam.t_ids])
         G2 = t / fam.lam - fam.at
         W = np.sqrt(1.0 + fam.mu2 * (G1 * G1 + G2 * G2))
-        flux = fam.coef * G1 / (W if Wf is None else Wf)
-        return G1, G2, W, flux
+        return G1, G2, W, fam.coef * G1 / W
 
     def residual(self, u_grid: np.ndarray, rhs: np.ndarray,
                  frozen_W: Optional[list] = None) -> np.ndarray:

@@ -9,6 +9,19 @@ Each Newton or Picard matrix is LU-factored exactly once with SuperLU
 (COLAMD column ordering); the one step of iterative refinement taken when
 the linear residual exceeds ``linear_rtol`` reuses those factors.  The
 factors live only for the duration of one linear solve.
+
+The solve stops, with ``converged=True``, on either of two rules:
+
+- ``tolerance``: ``max|F| <= tol_factor * (1 + max|2 mu H|)``;
+- ``rounding-floor``: the Newton step is at rounding size,
+  ``max|delta| <= eps * (1 + max|u|)``, and the residual is under its
+  rounding floor, ``max|F| <= eps * max(|J| |u|)`` over the unknowns, so no
+  further step can lower it (Kelley, *Iterative Methods for Linear and
+  Nonlinear Equations*, ch. 5 on stagnation).
+
+Otherwise it ends with ``converged=False`` and ``stop_reason``
+``max-iters`` (the iteration budget ran out) or ``singular`` (a Picard
+system could not be factored).
 """
 
 from __future__ import annotations
@@ -46,10 +59,13 @@ class SolveReport:
     picard_sweeps: int = 0
     message: str = ""
     runtime: float = 0.0
+    stop_reason: str = ""      # tolerance | rounding-floor | max-iters | singular
 
 
 # what a singular or non-finite linear system raises
 _SINGULAR = (np.linalg.LinAlgError, RuntimeError)
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _linear_solve(J, rhs, rtol):
@@ -119,7 +135,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
     damping: List[float] = []
     picard_sweeps = 0
     rejected = 0
-    converged = False
+    stop_reason = "singular" if singular_start else "max-iters"
     iters = 0
     u = _full_grid(dom, vec, cache)
     F = cache.residual(u, rhs)
@@ -127,7 +143,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
 
     while not singular_start and iters < cfg.max_iters:
         if fnorm <= tol:
-            converged = True
+            stop_reason = "tolerance"
             break
         iters += 1
         try:
@@ -137,6 +153,14 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
             delta = None
 
         if delta is not None:
+            # the step test comes first: the mat-vec runs only when the
+            # step is already at rounding size
+            if np.max(np.abs(delta)) <= _EPS * (1.0 + np.max(np.abs(vec))):
+                floor = _EPS * float(np.max(abs(J) @ np.abs(vec)))
+                if fnorm <= floor:
+                    stop_reason = "rounding-floor"
+                    message = f"residual at its rounding floor {floor:.3e}"
+                    break
             phi0 = float(F @ F)
             t = 1.0
             accepted = False
@@ -166,6 +190,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
         except _SINGULAR:
             after = "a singular Jacobian" if delta is None else "rejected Newton steps"
             message = f"singular Picard system in the fallback after {after}"
+            stop_reason = "singular"
             break
         picard_sweeps += 1
         u = _full_grid(dom, vec, cache)
@@ -177,16 +202,18 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
             rejected = 0
             message = "Picard fallback after rejected Newton steps"
 
-    if not converged and fnorm <= tol:
-        converged = True
-    if not converged and not message:
+    if fnorm <= tol:
+        stop_reason = "tolerance"
+    converged = stop_reason in ("tolerance", "rounding-floor")
+    if stop_reason == "max-iters" and not message:
         message = f"no convergence in {cfg.max_iters} iterations"
 
     sol = raw_grid(dom, u)
     return SolveReport(u=sol, converged=converged, iterations=iters,
                        residual_norm=fnorm, tolerance=tol,
                        damping_history=damping, picard_sweeps=picard_sweeps,
-                       message=message, runtime=time.perf_counter() - t0)
+                       message=message, runtime=time.perf_counter() - t0,
+                       stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------

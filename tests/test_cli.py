@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from killing_graphs import nil
 from killing_graphs.cli import main
+from killing_graphs.solver import SolveConfig, solve_dirichlet
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -133,6 +135,25 @@ def test_experiment_nil_strip(tmp_path):
     rows = read_csv(tmp_path / "out" / "nil_strip.csv")
     assert rows[0] == ["n", "K", "core_sup"]
     assert len(rows) == 3
+    rep = json.loads((tmp_path / "out" / "nil_strip.json").read_text())
+    assert [r["n"] for r in rep["runs"]] == [2, 3]
+    assert all(r["converged"] is True and r["stop_reason"] == "tolerance"
+               for r in rep["runs"])
+
+
+def test_experiment_nil_strip_nonconvergence_exit_2(tmp_path, monkeypatch):
+    # one Newton step is too few for the clamped strip
+    monkeypatch.setattr(nil, "solve_dirichlet", lambda model, dom, config=None:
+                        solve_dirichlet(model, dom, config=SolveConfig(max_iters=1)))
+    cfg = write_cfg(tmp_path, {
+        "experiment": {"tau": 0.5, "half_width": 1.0, "n_list": [2, 3],
+                       "K": 5.0, "h": 0.125},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["experiment", "nil-strip", "--config", cfg]) == 2
+    rep = json.loads((tmp_path / "out" / "nil_strip.json").read_text())
+    assert all(r["converged"] is False and r["stop_reason"] == "max-iters"
+               for r in rep["runs"])
 
 
 def test_experiment_removable_small(tmp_path):
@@ -143,6 +164,28 @@ def test_experiment_removable_small(tmp_path):
     assert main(["experiment", "removable-singularity", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "out" / "removable_singularity.json").read_text())
     assert rep["monotone_decay"] is True
+    assert [r["h"] for r in rep["runs"]] == [0.125, 0.0625]
+    for r in rep["runs"]:
+        assert r["full_converged"] is True and r["punctured_converged"] is True
+        assert r["full_stop_reason"] in ("tolerance", "rounding-floor")
+        assert r["punctured_stop_reason"] in ("tolerance", "rounding-floor")
+
+
+def test_experiment_removable_nonconvergence_exit_2(tmp_path):
+    # H too large for the square: no graph solution, so no solve converges
+    cfg = write_cfg(tmp_path, {
+        "model": {"preset": "euclidean"},
+        "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
+        "boundary": 0.0,
+        "H": "5.0",
+        "experiment": {"case": "custom", "hs": [0.25], "puncture": [0.25, 0.25]},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["experiment", "removable-singularity", "--config", cfg]) == 2
+    rep = json.loads((tmp_path / "out" / "removable_singularity.json").read_text())
+    run, = rep["runs"]
+    assert run["full_converged"] is False and run["punctured_converged"] is False
+    assert run["full_stop_reason"] == run["punctured_stop_reason"] == "max-iters"
 
 
 def test_experiment_sol3_wedge(tmp_path):

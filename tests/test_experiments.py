@@ -40,11 +40,16 @@ def test_disk_puncture_decays():
     rep = run_disk_puncture(hs=(1 / 8, 1 / 16, 1 / 32))
     assert rep.monotone_decay
     assert rep.runs[0].max_difference > 1e-6  # genuinely nonzero study
+    assert all(r.full_converged and r.punctured_converged for r in rep.runs)
 
 
 def test_sol3_puncture_invisible():
     rep = run_sol3_puncture(hs=(1 / 16,))
     assert rep.runs[0].max_difference <= 1e-8
+    # tol_factor 1e-13 lies under this lattice's rounding floor
+    run = rep.runs[0]
+    assert run.full_converged and run.punctured_converged
+    assert run.full_stop_reason == run.punctured_stop_reason == "rounding-floor"
 
 
 def test_custom_experiment_runner():

@@ -8,6 +8,7 @@ from killing_graphs.operator import AssemblyCache
 from killing_graphs.solver import (SolveConfig, check_max_principle,
                                    exhaustion_solve, solve_dirichlet)
 from killing_graphs.nil import strip_truncation_domain
+from killing_graphs.experiments import sol3_exact_domain
 
 
 def arctan_profile(c):
@@ -277,6 +278,7 @@ def test_singular_initial_picard_reported_not_raised(monkeypatch):
     assert not rep.converged
     assert rep.iterations == 0 and len(calls) == 1
     assert "singular Picard" in rep.message
+    assert rep.stop_reason == "singular"
     assert np.isfinite(rep.residual_norm)
 
 
@@ -289,4 +291,67 @@ def test_singular_picard_fallback_reported_not_raised(monkeypatch):
     assert rep.iterations == 1 and len(calls) == 3
     assert rep.picard_sweeps == 0
     assert "singular Picard" in rep.message
+    assert rep.stop_reason == "singular"
     assert np.isfinite(rep.residual_norm)
+
+
+# -- stop rules -----------------------------------------------------------------------
+
+def _sol3_pair(h=1 / 16):
+    dom = sol3_exact_domain(h)
+    return dom, dom.with_puncture(dom.nearest_node((0.0, 2.0)))
+
+
+def test_sol3_pair_stops_at_rounding_floor():
+    # tol_factor 1e-13 is below the discrete residual's rounding floor here
+    cfg = SolveConfig(tol_factor=1e-13)
+    for dom in _sol3_pair():
+        rep = solve_dirichlet(builtin_model("sol3-halfplane"), dom, config=cfg)
+        assert rep.converged and rep.stop_reason == "rounding-floor"
+        assert rep.iterations <= 4 and rep.picard_sweeps == 0
+        assert rep.residual_norm > rep.tolerance
+
+
+def test_default_tolerance_stop_reason():
+    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip())
+    assert rep.converged and rep.stop_reason == "tolerance"
+    assert rep.residual_norm <= rep.tolerance
+
+
+def test_max_iters_stop_reason():
+    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip(),
+                          config=SolveConfig(max_iters=1))
+    assert not rep.converged and rep.stop_reason == "max-iters"
+    assert rep.iterations == 1
+
+
+def test_rounding_size_step_far_above_floor_does_not_stop(monkeypatch):
+    # every linear solve returns a step of rounding size, while the residual
+    # of the (near-zero) iterate stays far above its rounding floor
+    linear_solve = solver._linear_solve
+
+    def tiny_step(J, rhs, rtol):
+        delta = linear_solve(J, rhs, rtol)
+        return delta * (1e-3 * np.finfo(float).eps / np.max(np.abs(delta)))
+
+    monkeypatch.setattr(solver, "_linear_solve", tiny_step)
+    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip(),
+                          config=SolveConfig(max_iters=2))
+    assert not rep.converged and rep.stop_reason == "max-iters"
+    assert rep.residual_norm > 1e-3
+
+
+def test_large_step_under_floor_does_not_stop(monkeypatch):
+    # start from a solution whose residual is under its rounding floor, with
+    # tolerance 0; a step far above rounding size must not end the solve
+    model = builtin_model("sol3-halfplane")
+    dom = _sol3_pair()[0]
+    cfg = SolveConfig(tol_factor=1e-13)
+    done = solve_dirichlet(model, dom, config=cfg)
+    assert done.stop_reason == "rounding-floor"
+    monkeypatch.setattr(solver, "_linear_solve",
+                        lambda J, rhs, rtol: np.full(rhs.shape, 1e-3))
+    rep = solve_dirichlet(model, dom, init=done.u,
+                          config=SolveConfig(tol_factor=0.0, max_iters=1))
+    assert rep.residual_norm == done.residual_norm
+    assert not rep.converged and rep.stop_reason == "max-iters"
