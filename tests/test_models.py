@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from killing_graphs.fields import expr_field
+from killing_graphs.fields import _fd_partials, expr_field
 from killing_graphs.models import (JsPolygon, Polyline, Rect, builtin_model,
                                    gauge_change, js_check, mu_length,
                                    tau_of_model)
@@ -114,6 +114,18 @@ def test_gauge_invariance_of_tau_random():
     for _ in range(10):
         p = rng.uniform(-0.5, 0.5, 2)
         assert tau_of_model(m1, p) == pytest.approx(0.8, abs=1e-6)
+
+
+def test_gauge_change_partials_match_differences():
+    # lambda is not constant here, so every product-rule term counts; tau
+    # reads only a_y and b_x, so a_x and b_y are checked nowhere else
+    m = gauge_change(builtin_model("e-minus1-tau", (0.8,)), expr_field("sin(x)*cos(y)"))
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(-0.6, 0.6, (2, 50))
+    for comp in (m.a, m.b):
+        fx, fy = _fd_partials(comp.fn, x, y, h=3e-3)
+        np.testing.assert_allclose(comp.fx(x, y), fx, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(comp.fy(x, y), fy, rtol=0, atol=1e-7)
 
 
 # -- mu-length -------------------------------------------------------------------------
