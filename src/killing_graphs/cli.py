@@ -76,33 +76,31 @@ def _build_model(cfg: dict) -> MetricModel:
         raise ConfigError(f"bad model spec: {e}")
 
 
+_ARCS = {"left": np.s_[:, 0], "right": np.s_[:, -1], "bottom": np.s_[0], "top": np.s_[-1]}
+
+
 def _boundary_spec(bc):
     if bc is None:
         return 0.0
     if isinstance(bc, (int, float)):
         return float(bc)
     if isinstance(bc, str):
-        f = expr_field(bc)
-        return lambda x, y: f.value(x, y)
+        return expr_field(bc).value
     if isinstance(bc, dict):
-        out = {}
-        for key, spec in bc.items():
-            if key in ("left", "right"):
-                if isinstance(spec, str):
-                    g = expr_field(spec)
-                    out[key] = lambda yy, g=g: g.value(0.0 * yy, yy)
-                else:
-                    out[key] = float(spec)
-            elif key in ("bottom", "top"):
-                if isinstance(spec, str):
-                    g = expr_field(spec)
-                    out[key] = lambda xx, g=g: g.value(xx, 0.0 * xx)
-                else:
-                    out[key] = float(spec)
-            else:
+        for key in bc:
+            if key not in _ARCS:
                 raise ConfigError(f"unknown boundary arc {key!r}")
-        return out
+        return bc
     raise ConfigError("boundary must be a number, expression or per-arc dict")
+
+
+def _arc_spec(spec, x, y):
+    """Data for one boundary arc: a constant, or an expression evaluated at
+    the chart coordinates (x, y) of the arc's nodes."""
+    if isinstance(spec, str):
+        g = expr_field(spec)
+        return lambda _: g.value(x, y)
+    return float(spec)
 
 
 def _build_domain(cfg: dict) -> GridDomain:
@@ -110,30 +108,30 @@ def _build_domain(cfg: dict) -> GridDomain:
     shape = _need(dc, "shape", "domain")
     bc = cfg.get("boundary")
     try:
-        if shape == "rectangle":
-            x0, x1, y0, y1 = dc["rect"]
-            dom = GridDomain.rectangle(x0, x1, y0, y1, float(dc["h"]),
-                                       boundary=_boundary_spec(bc))
-        elif shape == "strip":
-            w = float(dc["half_width"])
-            L = float(dc["length"])
-            dom = GridDomain.rectangle(-L, L, -w, w, float(dc["h"]),
-                                       boundary=_boundary_spec(bc))
+        if shape in ("rectangle", "strip"):
+            if shape == "rectangle":
+                x0, x1, y0, y1 = dc["rect"]
+            else:
+                w = float(dc["half_width"])
+                L = float(dc["length"])
+                x0, x1, y0, y1 = -L, L, -w, w
+            h = float(dc["h"])
+            bspec = _boundary_spec(bc)
+            if isinstance(bspec, dict):
+                X, Y = GridDomain.rectangle(x0, x1, y0, y1, h).coords()
+                bspec = {k: _arc_spec(v, X[_ARCS[k]], Y[_ARCS[k]]) for k, v in bspec.items()}
+            dom = GridDomain.rectangle(x0, x1, y0, y1, h, boundary=bspec)
         elif shape == "annulus":
             if isinstance(bc, dict):
                 inner = bc.get("inner", 0.0)
                 outer = bc.get("outer", 0.0)
             else:
                 inner = outer = bc if bc is not None else 0.0
-            def ring(spec):
-                if isinstance(spec, str):
-                    g = expr_field(spec)
-                    return lambda t: g.value(np.cos(t), np.sin(t))
-                return float(spec)
-            dom = GridDomain.annulus(float(dc["r0"]), float(dc["r1"]),
-                                     int(dc["nr"]), int(dc["ntheta"]),
-                                     inner=ring(inner), outer=ring(outer),
-                                     center=tuple(dc.get("center", (0.0, 0.0))))
+            ring = (float(dc["r0"]), float(dc["r1"]), int(dc["nr"]), int(dc["ntheta"]))
+            center = tuple(dc.get("center", (0.0, 0.0)))
+            X, Y = GridDomain.annulus(*ring, center=center).coords()
+            dom = GridDomain.annulus(*ring, inner=_arc_spec(inner, X[:, 0], Y[:, 0]),
+                                     outer=_arc_spec(outer, X[:, -1], Y[:, -1]), center=center)
         elif shape == "disk":
             R = float(dc["radius"])
             bfun = _boundary_spec(bc)
@@ -269,8 +267,10 @@ def cmd_growth(cfg: dict, args) -> int:
                          n_radii=int(gc.get("n_radii", 200)),
                          variant=gc.get("variant", "plain"), mask=mask,
                          n_arc=int(gc.get("n_arc", 512)))
-    Lb = [growth.L_plain(model, a) for a in prof.arcs]
-    Lw = [growth.L_weighted(model, a) for a in prof.arcs]
+    # the profile holds its own variant's L; compute only the other one
+    plain = prof.variant == "plain"
+    other = [(growth.L_weighted if plain else growth.L_plain)(model, a) for a in prof.arcs]
+    Lb, Lw = (prof.L, other) if plain else (other, prof.L)
     rows = list(zip(prof.radii, Lb, Lw, prof.g))
     _write_csv(out / "growth.csv", ["r", "L_plain", "L_weighted", "g"], rows,
                footer=["verdict", prof.verdict, "", ""])
@@ -299,7 +299,8 @@ def _exp_nil_strip(cfg, out):
                                           float(ec.get("half_width", 1.0)),
                                           ec.get("n_list", [2, 4, 8]),
                                           float(ec.get("K", 5.0)),
-                                          h=float(ec.get("h", 1 / 16)))
+                                          h=float(ec.get("h", 1 / 16)),
+                                          config=_solver_config(cfg))
     rows = [(r.n, r.K, r.core_sup) for r in rep.runs]
     _write_csv(out / "nil_strip.csv", ["n", "K", "core_sup"], rows)
     sups = [r.core_sup for r in rep.runs]
@@ -320,19 +321,27 @@ def _exp_removable(cfg, out):
     ec = cfg.get("experiment", {})
     case = ec.get("case", "disk")
     hs = tuple(ec.get("hs", (1 / 16, 1 / 32, 1 / 64)))
+    H = None
     if case == "disk":
-        rep = experiments.run_disk_puncture(hs=hs, puncture=tuple(ec.get("puncture", (0.25, 0.25))))
+        model, factory = builtin_model("euclidean"), experiments.disk_sin2theta_domain
+        point = ec.get("puncture", (0.25, 0.25))
     elif case == "sol3":
-        rep = experiments.run_sol3_puncture(hs=hs, puncture=tuple(ec.get("puncture", (0.0, 2.0))))
+        model, factory = builtin_model("sol3-halfplane"), experiments.sol3_exact_domain
+        point = ec.get("puncture", (0.0, 2.0))
     elif case == "custom":
         model = _build_model(cfg)
+        H = cfg.get("H")
         base = dict(cfg)
         base.pop("puncture", None)
-        rep = experiments.removable_singularity_experiment(
-            model, lambda h: _build_domain({**base, "domain": {**base["domain"], "h": h}}),
-            tuple(_need(ec, "puncture", "experiment")), H=cfg.get("H"), hs=hs)
+        factory = lambda h: _build_domain({**base, "domain": {**base["domain"], "h": h}})
+        point = _need(ec, "puncture", "experiment")
     else:
         raise ConfigError(f"unknown removable-singularity case {case!r}")
+    # the config's solver section goes over the experiment's tight tolerance
+    scfg = _solver_config({"solver": {"tol_factor": experiments._TOL_FACTOR,
+                                      **cfg.get("solver", {})}})
+    rep = experiments.removable_singularity_experiment(model, factory, tuple(point), H=H,
+                                                       hs=hs, config=scfg)
     rows = [(r.h, r.max_difference) for r in rep.runs]
     _write_csv(out / "removable_singularity.csv", ["h", "max_difference"], rows)
     _write_json(out / "removable_singularity.json", {

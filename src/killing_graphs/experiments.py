@@ -18,6 +18,8 @@ from .grids import GridDomain
 from .models import MetricModel, builtin_model
 from .solver import SolveConfig, solve_dirichlet
 
+_TOL_FACTOR = 1e-13  # default tol_factor of the puncture experiments, API and CLI alike
+
 
 @dataclass
 class PunctureRun:
@@ -50,7 +52,7 @@ def removable_singularity_experiment(model: MetricModel,
     A tight solver tolerance keeps the Newton stopping error well below the
     puncture effect being measured.
     """
-    cfg = config or SolveConfig(tol_factor=1e-13)
+    cfg = config or SolveConfig(tol_factor=_TOL_FACTOR)
     runs: List[PunctureRun] = []
     for h in hs:
         dom = domain_factory(h)

@@ -324,12 +324,6 @@ def grad_field(e: Expr, p, h: float = None):
     Default step is 1e-6 * (1 + |p|); the O(h^4) truncation makes the formula
     exact (up to roundoff) on polynomials of degree <= 4.
     """
-    x, y = float(p[0]), float(p[1])
-    if h is None:
-        h = 1e-6 * (1.0 + float(np.hypot(x, y)))
-    xs = np.array([x + 2 * h, x + h, x - h, x - 2 * h, x, x, x, x])
-    ys = np.array([y, y, y, y, y + 2 * h, y + h, y - h, y - 2 * h])
-    f = evaluate(e, xs, ys)
-    fx = (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h)
-    fy = (-f[4] + 8 * f[5] - 8 * f[6] + f[7]) / (12 * h)
+    from .fields import _fd_partials
+    fx, fy = _fd_partials(lambda x, y: evaluate(e, x, y), float(p[0]), float(p[1]), h)
     return float(fx), float(fy)

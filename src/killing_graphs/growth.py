@@ -23,6 +23,7 @@ import numpy as np
 
 from .grids import ScalarGrid
 from .models import MetricModel
+from .radial import _tail_ratios, penafiel_h
 from .solver import SolveReport
 
 
@@ -175,9 +176,8 @@ def window_verdict(radii: np.ndarray, g: np.ndarray, eps0: float = 1e-3,
         return "inconclusive", np.array([]), np.array([])
     gv = np.interp(ends, radii, g)
     incs = np.diff(gv)
-    ratios = incs[1:] / np.where(incs[:-1] == 0.0, np.nan, incs[:-1])
-    tail = ratios[-3:]
-    if np.all(np.isfinite(tail)) and np.all(tail < ratio_cut):
+    ratios, decays = _tail_ratios(incs, ratio_cut)
+    if decays:
         return "converges", incs, ratios
     if np.all(incs >= eps0):
         return "diverges", incs, ratios
@@ -341,7 +341,6 @@ def e1tau_growth(H: float, tau: float, domain_kind: str, r: float) -> E1TauSampl
     The asymptote coefficient is the closed-form leading coefficient of g
     (bounded-width) or of the decaying g' (exterior).
     """
-    from .radial import penafiel_h
     if not 0.0 <= H <= 0.5:
         raise ValueError("H > 1/2 rejected")
     if domain_kind not in ("bounded-width", "exterior"):

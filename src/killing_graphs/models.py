@@ -220,55 +220,27 @@ def gauge_change(model: MetricModel, d) -> MetricModel:
     """Shift the connection data by an exact form: a' = a + d_x/lambda,
     b' = b + d_y/lambda.  lambda and mu are unchanged, and so is tau."""
     d = as_field(d)
-    lam, a, b = model.lam, model.a, model.b
+    lam = model.lam
 
-    def a_new(x, y):
-        dx, _ = d.partials(x, y)
-        return a.value(x, y) + dx / lam.value(x, y)
+    # The partials come from the product rule with d's second partials
+    # (analytic when available, wide-step fourth-order differences
+    # otherwise).  This keeps the exact-form cancellation in tau_of_model at
+    # ~1e-9 instead of the catastrophic nested-difference roundoff.
+    def shifted(c: ScalarField, k: int) -> ScalarField:
+        """c + d_k/lambda, where k = 0 shifts a by d_x and k = 1 shifts b by d_y."""
+        def value(x, y):
+            return c.value(x, y) + d.partials(x, y)[k] / lam.value(x, y)
 
-    def b_new(x, y):
-        _, dy = d.partials(x, y)
-        return b.value(x, y) + dy / lam.value(x, y)
+        def partial(j):
+            def fn(x, y):
+                lam_v = lam.value(x, y)
+                return (c.partials(x, y)[j] + d.second_partials(x, y)[k + j] / lam_v
+                        - d.partials(x, y)[k] * lam.partials(x, y)[j] / lam_v ** 2)
+            return fn
 
-    # Partials via the product rule, using d's second partials (analytic when
-    # available, wide-step fourth-order differences otherwise).  This keeps
-    # the exact-form cancellation in tau_of_model at ~1e-9 instead of the
-    # catastrophic nested-difference roundoff.
-    def a_new_x(x, y):
-        lam_v = lam.value(x, y)
-        lam_x, _ = lam.partials(x, y)
-        a_x, _ = a.partials(x, y)
-        dx, _ = d.partials(x, y)
-        dxx, _, _ = d.second_partials(x, y)
-        return a_x + dxx / lam_v - dx * lam_x / lam_v ** 2
+        return callable_field(value, fx=partial(0), fy=partial(1))
 
-    def a_new_y(x, y):
-        lam_v = lam.value(x, y)
-        _, lam_y = lam.partials(x, y)
-        _, a_y = a.partials(x, y)
-        dx, _ = d.partials(x, y)
-        _, dxy, _ = d.second_partials(x, y)
-        return a_y + dxy / lam_v - dx * lam_y / lam_v ** 2
-
-    def b_new_x(x, y):
-        lam_v = lam.value(x, y)
-        lam_x, _ = lam.partials(x, y)
-        b_x, _ = b.partials(x, y)
-        _, dy = d.partials(x, y)
-        _, dxy, _ = d.second_partials(x, y)
-        return b_x + dxy / lam_v - dy * lam_x / lam_v ** 2
-
-    def b_new_y(x, y):
-        lam_v = lam.value(x, y)
-        _, lam_y = lam.partials(x, y)
-        _, b_y = b.partials(x, y)
-        _, dy = d.partials(x, y)
-        _, _, dyy = d.second_partials(x, y)
-        return b_y + dyy / lam_v - dy * lam_y / lam_v ** 2
-
-    return replace(model,
-                   a=callable_field(a_new, fx=a_new_x, fy=a_new_y),
-                   b=callable_field(b_new, fx=b_new_x, fy=b_new_y),
+    return replace(model, a=shifted(model.a, 0), b=shifted(model.b, 1),
                    name=f"{model.name}+gauge")
 
 

@@ -372,16 +372,20 @@ def angle_function(model: MetricModel, u: ScalarGrid, node,
     return float(nf.MU[node]) / area_element(model, u, node, fields=nf)
 
 
+def _node_pair(model, u, v, node, fields):
+    """(gu, gv, mu, Wu, Wv): both gradients, mu and both area elements at a node."""
+    nf = fields or NodeFields(model, u.domain)
+    gu, gv = (generalized_gradient(model, w, node, fields=nf) for w in (u, v))
+    mu = float(nf.MU[node])
+    Wu, Wv = (np.sqrt(1.0 + mu ** 2 * (g[0] ** 2 + g[1] ** 2)) for g in (gu, gv))
+    return gu, gv, mu, Wu, Wv
+
+
 def factorization_gap(model: MetricModel, u: ScalarGrid, v: ScalarGrid, node,
                       fields: Optional[NodeFields] = None) -> float:
     """Pairing <Gu/Wu - Gv/Wv, Gu - Gv> at a node; >= 0, zero exactly when
     the discrete gradients coincide."""
-    nf = fields or NodeFields(model, u.domain)
-    gu = generalized_gradient(model, u, node, fields=nf)
-    gv = generalized_gradient(model, v, node, fields=nf)
-    mu = float(nf.MU[node])
-    Wu = np.sqrt(1.0 + mu ** 2 * (gu[0] ** 2 + gu[1] ** 2))
-    Wv = np.sqrt(1.0 + mu ** 2 * (gv[0] ** 2 + gv[1] ** 2))
+    gu, gv, _, Wu, Wv = _node_pair(model, u, v, node, fields)
     return float((gu[0] / Wu - gv[0] / Wv) * (gu[0] - gv[0])
                  + (gu[1] / Wu - gv[1] / Wv) * (gu[1] - gv[1]))
 
@@ -390,12 +394,7 @@ def factorization_identity_rhs(model: MetricModel, u: ScalarGrid, v: ScalarGrid,
                                node, fields: Optional[NodeFields] = None) -> float:
     """(Wu + Wv)/(2 mu^2) |Nu - Nv|^2, the normal-gap side of the
     factorization identity, with the vertical part (1/Wu - 1/Wv)^2 included."""
-    nf = fields or NodeFields(model, u.domain)
-    gu = generalized_gradient(model, u, node, fields=nf)
-    gv = generalized_gradient(model, v, node, fields=nf)
-    mu = float(nf.MU[node])
-    Wu = np.sqrt(1.0 + mu ** 2 * (gu[0] ** 2 + gu[1] ** 2))
-    Wv = np.sqrt(1.0 + mu ** 2 * (gv[0] ** 2 + gv[1] ** 2))
+    gu, gv, mu, Wu, Wv = _node_pair(model, u, v, node, fields)
     horiz = ((mu * gu[0] / Wu - mu * gv[0] / Wv) ** 2
              + (mu * gu[1] / Wu - mu * gv[1] / Wv) ** 2)
     vert = (1.0 / Wu - 1.0 / Wv) ** 2

@@ -117,6 +117,14 @@ def radial_profile(c: float, mu, r0: float = 1.0, r1: float = 2.0,
 # ---------------------------------------------------------------------------
 # Boundedness classification
 
+def _tail_ratios(incs: np.ndarray, ratio_cut: float = 0.9):
+    """Ratios of consecutive window increments (NaN after a zero one), and
+    whether the last three lie below ``ratio_cut``: geometric decay."""
+    ratios = incs[1:] / np.where(incs[:-1] == 0.0, np.nan, incs[:-1])
+    tail = ratios[-3:]
+    return ratios, bool(np.all(np.isfinite(tail)) and np.all(tail < ratio_cut))
+
+
 @dataclass
 class BoundednessVerdict:
     verdict: str                 # "bounded" | "unbounded" | "inconclusive"
@@ -145,11 +153,10 @@ def boundedness_classify(mu, c: float, r_max: float = 1e6,
     if len(pts) < 4:
         return BoundednessVerdict("inconclusive", pts, np.array([]), np.array([]))
     incs = np.array([_quad(slope, a, b)[0] for a, b in zip(pts[:-1], pts[1:])])
-    ratios = incs[1:] / incs[:-1]
-    tail = ratios[-3:]
-    if np.all(tail < 0.9):
+    ratios, decays = _tail_ratios(incs)
+    if decays:
         verdict = "bounded"
-    elif np.all(tail >= 0.98):
+    elif np.all(ratios[-3:] >= 0.98):
         verdict = "unbounded"
     else:
         verdict = "inconclusive"

@@ -222,7 +222,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
 @dataclass
 class ExhaustionReport:
     reports: List[SolveReport]
-    cauchy: List[float]        # sup |u_n - u_{n-1}| over the common core
+    cauchy: List[float]        # sup |u_n - u_{n-1}| over the common core, or NaN
 
 
 def _common_value_map(dom: GridDomain, values: np.ndarray) -> dict:
@@ -242,7 +242,8 @@ def exhaustion_solve(model: MetricModel, domains: Sequence[GridDomain], H=None,
     The Cauchy monitor is taken over the core common to every domain of the
     family (the smallest truncation, for nested families): a fixed compact
     region, so successive changes measure genuine convergence rather than
-    the moving artificial-boundary layers.
+    the moving artificial-boundary layers.  An entry is NaN when the core is
+    empty, or when either solve of its pair did not converge.
     """
     reports = []
     maps = []
@@ -254,9 +255,9 @@ def exhaustion_solve(model: MetricModel, domains: Sequence[GridDomain], H=None,
     for m in maps[1:]:
         core &= m.keys()
     cauchy = []
-    for prev, cur in zip(maps[:-1], maps[1:]):
-        if core:
-            cauchy.append(max(abs(prev[k] - cur[k]) for k in core))
+    for k, (prev, cur) in enumerate(zip(maps[:-1], maps[1:])):
+        if core and reports[k].converged and reports[k + 1].converged:
+            cauchy.append(max(abs(prev[n] - cur[n]) for n in core))
         else:
             cauchy.append(float("nan"))
     return ExhaustionReport(reports=reports, cauchy=cauchy)

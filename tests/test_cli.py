@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from killing_graphs import nil
-from killing_graphs.cli import main
+from killing_graphs import experiments, nil
+from killing_graphs.cli import _build_domain, _load_config, main
 from killing_graphs.solver import SolveConfig, solve_dirichlet
 
 
@@ -156,6 +156,52 @@ def test_experiment_nil_strip_nonconvergence_exit_2(tmp_path, monkeypatch):
                for r in rep["runs"])
 
 
+def test_experiment_nil_strip_honours_solver_section(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "experiment": {"tau": 0.5, "half_width": 1.0, "n_list": [2, 3],
+                       "K": 5.0, "h": 0.125},
+        "solver": {"max_iters": 1},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["experiment", "nil-strip", "--config", cfg]) == 2
+    rep = json.loads((tmp_path / "out" / "nil_strip.json").read_text())
+    assert all(r["converged"] is False and r["stop_reason"] == "max-iters"
+               for r in rep["runs"])
+
+
+def removable_cfg(tmp_path, case):
+    # the disk and sol3 cases bring their own model and domain
+    return write_cfg(tmp_path, {
+        "model": {"preset": "euclidean"},
+        "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
+        "boundary": "x^2-y^3",
+        "experiment": {"case": case, "hs": [0.25], "puncture": [0.25, 0.25]} if case == "custom"
+        else {"case": case, "hs": [0.25]},
+        "solver": {"max_iters": 1},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+
+
+@pytest.mark.parametrize("case", ["disk", "sol3", "custom"])
+def test_experiment_removable_honours_solver_section(tmp_path, case):
+    cfg = removable_cfg(tmp_path, case)
+    assert main(["experiment", "removable-singularity", "--config", cfg]) == 2
+    run, = json.loads((tmp_path / "out" / "removable_singularity.json").read_text())["runs"]
+    assert run["full_stop_reason"] == run["punctured_stop_reason"] == "max-iters"
+
+
+def test_experiment_removable_solver_section_keeps_tight_tolerance(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(model, dom, H=None, config=None):
+        seen.append(config)
+        return solve_dirichlet(model, dom, H=H, config=config)
+
+    monkeypatch.setattr(experiments, "solve_dirichlet", spy)
+    main(["experiment", "removable-singularity", "--config", removable_cfg(tmp_path, "disk")])
+    assert [(c.max_iters, c.tol_factor) for c in seen] == [(1, 1e-13)] * 2
+
+
 def test_experiment_removable_small(tmp_path):
     cfg = write_cfg(tmp_path, {
         "experiment": {"case": "disk", "hs": [0.125, 0.0625]},
@@ -239,3 +285,35 @@ def test_annulus_config_solve(tmp_path):
     assert main(["solve", "--config", cfg]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["converged"] is True
+
+
+def test_per_arc_expressions_evaluated_at_arc_nodes(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {
+        "model": {"preset": "euclidean"},
+        "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
+        "boundary": {"left": "x+10", "right": "x*y", "bottom": "y-x", "top": 2.0},
+        "output": {"dir": str(out)},
+    })
+    assert main(["solve", "--config", cfg]) == 0
+    dom = _build_domain(_load_config(cfg))
+    X, Y = dom.coords()
+    np.testing.assert_array_equal(dom.bdata[1:-1, 0], 9.0)   # x = -1 on the left arc
+    np.testing.assert_array_equal(dom.bdata[1:-1, -1], X[1:-1, -1] * Y[1:-1, -1])
+    np.testing.assert_array_equal(dom.bdata[0, 1:-1], Y[0, 1:-1] - X[0, 1:-1])
+    assert dom.bdata[0, 0] == 0.5 * (9.0 + 0.0)   # corners average their two arcs
+
+
+def test_annulus_expression_evaluated_at_ring_nodes(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "model": {"preset": "euclidean"},
+        "domain": {"shape": "annulus", "r0": 1.0, "r1": 2.0, "nr": 8, "ntheta": 32,
+                   "center": [5.0, 0.0]},
+        "boundary": {"inner": "x", "outer": "y"},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["solve", "--config", cfg]) == 0
+    dom = _build_domain(_load_config(cfg))
+    t = dom.ht * np.arange(32)
+    np.testing.assert_allclose(dom.bdata[:, 0], 5.0 + np.cos(t), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dom.bdata[:, -1], 2.0 * np.sin(t), rtol=0, atol=1e-15)

@@ -178,6 +178,16 @@ def test_exhaustion_cauchy_monitor_decreases():
     assert all(b < a for a, b in zip(ex.cauchy, ex.cauchy[1:]))
 
 
+def test_exhaustion_cauchy_nan_without_convergence():
+    # one Newton step cannot converge the clamped strip, so no pair of
+    # truncations may enter the monitor
+    m = builtin_model("nil3", (0.5,))
+    doms = [strip_truncation_domain(1.0, n, 1 / 16, K=5.0) for n in (2, 3, 4)]
+    ex = exhaustion_solve(m, doms, config=SolveConfig(max_iters=1))
+    assert not any(rep.converged for rep in ex.reports)
+    assert len(ex.cauchy) == 2 and all(np.isnan(c) for c in ex.cauchy)
+
+
 # -- linear-solve layer ------------------------------------------------------------------
 
 def _clamped_strip():
