@@ -22,11 +22,11 @@ from .radial import (BoundednessVerdict, PenafielSample, RadialProfile,
                      VerticalSlopeError, boundedness_classify, penafiel_h,
                      penafiel_slope, penafiel_slope_disk, radial_profile,
                      radial_slope)
-from .growth import (CollinKrustFit, E1TauSample, GeodesicArc, GrowthProfile,
-                     WedgeBound, L_plain, L_weighted, collin_krust_rate,
-                     e1tau_g, e1tau_growth, g_of_r, geodesic_circle,
-                     iterated_log, sol3_wedge_bound, sol3_wedge_divergence,
-                     window_verdict)
+from .growth import (ChartExitError, CollinKrustFit, E1TauSample, GeodesicArc,
+                     GrowthProfile, WedgeBound, L_plain, L_weighted,
+                     collin_krust_rate, e1tau_g, e1tau_growth, g_of_r,
+                     geodesic_circle, iterated_log, sol3_wedge_bound,
+                     sol3_wedge_divergence, window_verdict)
 from .nil import (NilIsometry, StripUniquenessReport, apply_isometry_to_graph,
                   invariant_barrier, strip_truncation_domain,
                   strip_uniqueness_experiment)

@@ -11,7 +11,9 @@ Experiment names: nil-strip, removable-singularity, collin-krust-fit,
 sol3-wedge, e1tau-growth, iterated-log.
 
 Exit codes: 0 success, 1 config error (no output files are written),
-2 solver non-convergence (diagnostics are written).
+2 solver non-convergence (diagnostics are written), 3 numerical error after
+the config was read: a vertical slope, a geodesic circle leaving the chart,
+or an expression undefined where it was evaluated.
 CSV is RFC-4180 with a header row; floats carry 17 significant digits so a
 re-parse reproduces the in-memory values bit-exactly.
 """
@@ -27,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, growth, nil, radial
+from .expressions import ExprDomainError
 from .fields import as_field, expr_field
 from .grids import GridDomain
 from .models import MetricModel, Rect, builtin_model
@@ -76,10 +79,9 @@ def _build_model(cfg: dict) -> MetricModel:
         raise ConfigError(f"bad model spec: {e}")
 
 
-_ARCS = {"left": np.s_[:, 0], "right": np.s_[:, -1], "bottom": np.s_[0], "top": np.s_[-1]}
-
-
 def _boundary_spec(bc):
+    """A config boundary as grids data: numbers stay constants, expressions
+    become callables of chart (x, y), a per-arc dict maps each entry."""
     if bc is None:
         return 0.0
     if isinstance(bc, (int, float)):
@@ -87,27 +89,15 @@ def _boundary_spec(bc):
     if isinstance(bc, str):
         return expr_field(bc).value
     if isinstance(bc, dict):
-        for key in bc:
-            if key not in _ARCS:
-                raise ConfigError(f"unknown boundary arc {key!r}")
-        return bc
+        return {k: _boundary_spec(v) for k, v in bc.items()}
     raise ConfigError("boundary must be a number, expression or per-arc dict")
-
-
-def _arc_spec(spec, x, y):
-    """Data for one boundary arc: a constant, or an expression evaluated at
-    the chart coordinates (x, y) of the arc's nodes."""
-    if isinstance(spec, str):
-        g = expr_field(spec)
-        return lambda _: g.value(x, y)
-    return float(spec)
 
 
 def _build_domain(cfg: dict) -> GridDomain:
     dc = _need(cfg, "domain", "config")
     shape = _need(dc, "shape", "domain")
-    bc = cfg.get("boundary")
     try:
+        bspec = _boundary_spec(cfg.get("boundary"))
         if shape in ("rectangle", "strip"):
             if shape == "rectangle":
                 x0, x1, y0, y1 = dc["rect"]
@@ -115,43 +105,26 @@ def _build_domain(cfg: dict) -> GridDomain:
                 w = float(dc["half_width"])
                 L = float(dc["length"])
                 x0, x1, y0, y1 = -L, L, -w, w
-            h = float(dc["h"])
-            bspec = _boundary_spec(bc)
-            if isinstance(bspec, dict):
-                X, Y = GridDomain.rectangle(x0, x1, y0, y1, h).coords()
-                bspec = {k: _arc_spec(v, X[_ARCS[k]], Y[_ARCS[k]]) for k, v in bspec.items()}
-            dom = GridDomain.rectangle(x0, x1, y0, y1, h, boundary=bspec)
+            dom = GridDomain.rectangle(x0, x1, y0, y1, float(dc["h"]), boundary=bspec)
         elif shape == "annulus":
-            if isinstance(bc, dict):
-                inner = bc.get("inner", 0.0)
-                outer = bc.get("outer", 0.0)
+            arcs = bspec if isinstance(bspec, dict) else {"inner": bspec, "outer": bspec}
+            dom = GridDomain.annulus(float(dc["r0"]), float(dc["r1"]), int(dc["nr"]),
+                                     int(dc["ntheta"]),
+                                     center=tuple(dc.get("center", (0.0, 0.0))), **arcs)
+        elif shape in ("disk", "masked"):
+            if shape == "disk":
+                R = float(dc["radius"])
+                x0, x1, y0, y1 = -R, R, -R, R
+                keep = lambda x, y: x ** 2 + y ** 2 <= R ** 2 + 1e-12
             else:
-                inner = outer = bc if bc is not None else 0.0
-            ring = (float(dc["r0"]), float(dc["r1"]), int(dc["nr"]), int(dc["ntheta"]))
-            center = tuple(dc.get("center", (0.0, 0.0)))
-            X, Y = GridDomain.annulus(*ring, center=center).coords()
-            dom = GridDomain.annulus(*ring, inner=_arc_spec(inner, X[:, 0], Y[:, 0]),
-                                     outer=_arc_spec(outer, X[:, -1], Y[:, -1]), center=center)
-        elif shape == "disk":
-            R = float(dc["radius"])
-            bfun = _boundary_spec(bc)
-            if isinstance(bfun, dict):
-                raise ConfigError("disk boundary must be a single expression")
-            dom = GridDomain.masked(-R, R, -R, R, float(dc["h"]),
-                                    keep=lambda x, y: x ** 2 + y ** 2 <= R ** 2 + 1e-12,
-                                    boundary=bfun)
-        elif shape == "masked":
-            x0, x1, y0, y1 = dc["rect"]
-            mask_f = expr_field(_need(dc, "mask", "domain"))
-            bfun = _boundary_spec(bc)
-            if isinstance(bfun, dict):
-                raise ConfigError("masked-domain boundary must be a single expression")
-            dom = GridDomain.masked(x0, x1, y0, y1, float(dc["h"]),
-                                    keep=lambda x, y: mask_f.value(x, y) > 0.0,
-                                    boundary=bfun)
+                x0, x1, y0, y1 = dc["rect"]
+                mask_f = expr_field(_need(dc, "mask", "domain"))
+                keep = lambda x, y: mask_f.value(x, y) > 0.0
+            dom = GridDomain.masked(x0, x1, y0, y1, float(dc["h"]), keep=keep,
+                                    boundary=bspec)
         else:
             raise ConfigError(f"unknown domain shape {shape!r}")
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad domain spec: {e}")
     if "puncture" in cfg and cfg["puncture"] is not None:
         dom = dom.with_puncture(dom.nearest_node(tuple(cfg["puncture"])))
@@ -321,27 +294,24 @@ def _exp_removable(cfg, out):
     ec = cfg.get("experiment", {})
     case = ec.get("case", "disk")
     hs = tuple(ec.get("hs", (1 / 16, 1 / 32, 1 / 64)))
-    H = None
-    if case == "disk":
-        model, factory = builtin_model("euclidean"), experiments.disk_sin2theta_domain
-        point = ec.get("puncture", (0.25, 0.25))
-    elif case == "sol3":
-        model, factory = builtin_model("sol3-halfplane"), experiments.sol3_exact_domain
-        point = ec.get("puncture", (0.0, 2.0))
-    elif case == "custom":
-        model = _build_model(cfg)
-        H = cfg.get("H")
-        base = dict(cfg)
-        base.pop("puncture", None)
-        factory = lambda h: _build_domain({**base, "domain": {**base["domain"], "h": h}})
-        point = _need(ec, "puncture", "experiment")
-    else:
-        raise ConfigError(f"unknown removable-singularity case {case!r}")
     # the config's solver section goes over the experiment's tight tolerance
     scfg = _solver_config({"solver": {"tol_factor": experiments._TOL_FACTOR,
                                       **cfg.get("solver", {})}})
-    rep = experiments.removable_singularity_experiment(model, factory, tuple(point), H=H,
-                                                       hs=hs, config=scfg)
+    if case in experiments._PUNCTURE_CASES:
+        rep = experiments._run_puncture_case(case, hs, ec.get("puncture"), config=scfg)
+    elif case == "custom":
+        model = _build_model(cfg)
+        shape = _need(cfg, "domain", "config").get("shape")
+        if shape == "annulus":
+            raise ConfigError(f"removable-singularity case 'custom' needs a domain with "
+                              f"'h'; shape {shape!r} has none")
+        factory = lambda h: _build_domain({**cfg, "puncture": None,
+                                           "domain": {**cfg["domain"], "h": h}})
+        point = _need(ec, "puncture", "experiment")
+        rep = experiments.removable_singularity_experiment(model, factory, tuple(point),
+                                                           H=cfg.get("H"), hs=hs, config=scfg)
+    else:
+        raise ConfigError(f"unknown removable-singularity case {case!r}")
     rows = [(r.h, r.max_difference) for r in rep.runs]
     _write_csv(out / "removable_singularity.csv", ["h", "max_difference"], rows)
     _write_json(out / "removable_singularity.json", {
@@ -471,13 +441,6 @@ _EXPERIMENTS = {
 }
 
 
-def cmd_experiment(name: str, cfg: dict, args) -> int:
-    if name not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
-    out = _out_dir(cfg, args)
-    return _EXPERIMENTS[name](cfg, out)
-
-
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
@@ -486,30 +449,25 @@ def main(argv=None) -> int:
         description="Prescribed-mean-curvature Killing graphs: solver, "
                     "radial families, growth functionals.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "radial", "growth"):
+    for name in ("solve", "radial", "growth", "experiment"):
         p = sub.add_parser(name)
+        if name == "experiment":
+            p.add_argument("name", choices=EXPERIMENT_NAMES)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-    p = sub.add_parser("experiment")
-    p.add_argument("name", choices=EXPERIMENT_NAMES)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
 
     try:
         cfg = _load_config(args.config)
-        if args.command == "solve":
-            return cmd_solve(cfg, args)
-        if args.command == "radial":
-            return cmd_radial(cfg, args)
-        if args.command == "growth":
-            return cmd_growth(cfg, args)
-        return cmd_experiment(args.name, cfg, args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as e:
+        if args.command == "experiment":
+            return _EXPERIMENTS[args.name](cfg, _out_dir(cfg, args))
+        commands = {"solve": cmd_solve, "radial": cmd_radial, "growth": cmd_growth}
+        return commands[args.command](cfg, args)
+    except (radial.VerticalSlopeError, growth.ChartExitError, ExprDomainError) as e:
+        print(f"numerical error: {e}", file=sys.stderr)
+        return 3
+    except (ValueError, KeyError) as e:   # ConfigError included
         print(f"config error: {e}", file=sys.stderr)
         return 1
 

@@ -92,11 +92,23 @@ def sol3_exact_domain(h: float, half_width: float = 3.0) -> GridDomain:
                                 boundary=lambda x, y: 1.0 - 1.0 / y)
 
 
-def run_disk_puncture(hs=(1 / 16, 1 / 32, 1 / 64), puncture=(0.25, 0.25)) -> RemovableSingularityReport:
-    return removable_singularity_experiment(builtin_model("euclidean"),
-                                            disk_sin2theta_domain, puncture, hs=hs)
+# case -> (model preset, domain factory, default puncture point)
+_PUNCTURE_CASES = {
+    "disk": ("euclidean", disk_sin2theta_domain, (0.25, 0.25)),
+    "sol3": ("sol3-halfplane", sol3_exact_domain, (0.0, 2.0)),
+}
 
 
-def run_sol3_puncture(hs=(1 / 16, 1 / 32, 1 / 64), puncture=(0.0, 2.0)) -> RemovableSingularityReport:
-    return removable_singularity_experiment(builtin_model("sol3-halfplane"),
-                                            sol3_exact_domain, puncture, hs=hs)
+def _run_puncture_case(case, hs, puncture=None, config=None) -> RemovableSingularityReport:
+    preset, factory, point = _PUNCTURE_CASES[case]
+    return removable_singularity_experiment(builtin_model(preset), factory,
+                                            tuple(point if puncture is None else puncture),
+                                            hs=hs, config=config)
+
+
+def run_disk_puncture(hs=(1 / 16, 1 / 32, 1 / 64), puncture=None) -> RemovableSingularityReport:
+    return _run_puncture_case("disk", hs, puncture)
+
+
+def run_sol3_puncture(hs=(1 / 16, 1 / 32, 1 / 64), puncture=None) -> RemovableSingularityReport:
+    return _run_puncture_case("sol3", hs, puncture)

@@ -12,11 +12,17 @@ Node status: INTERIOR nodes carry the PDE equation, BOUNDARY nodes carry
 Dirichlet data, EXCLUDED nodes are outside the domain, and a BRIDGE node is
 a puncture: it carries no equation and no data; its value is tied to the
 average of two opposite neighbors so that surrounding stencils stay whole.
+
+Boundary data: a datum is a constant or a callable of chart (x, y).  A
+rectangle takes one datum or a dict of them keyed by left/right/bottom/top
+(a missing arc gets 0), an annulus one per ring (inner/outer), a masked
+lattice one.  A corner takes the mean of its two arcs, the two one-sided
+limits of piecewise continuous data; an unknown arc name raises ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -78,81 +84,33 @@ class GridDomain:
 
     @staticmethod
     def rectangle(x0: float, x1: float, y0: float, y1: float, h: float,
-                  boundary=None) -> "GridDomain":
+                  boundary=0.0) -> "GridDomain":
         """Full rectangle with spacing ~h (snapped so nodes land on corners).
 
-        ``boundary`` is a callable (x, y) -> value, a constant, or a dict with
-        keys among left/right/bottom/top (callables of the arc coordinate or
-        constants); corners average the two adjacent arcs.
+        ``boundary`` is one datum, or a dict of data keyed by
+        left/right/bottom/top (see the module docstring).
         """
-        nx = max(2, int(round((x1 - x0) / h))) + 1
-        ny = max(2, int(round((y1 - y0) / h))) + 1
-        hx = (x1 - x0) / (nx - 1)
-        hy = (y1 - y0) / (ny - 1)
-        status = np.full((ny, nx), INTERIOR, dtype=np.int8)
-        status[0, :] = status[-1, :] = BOUNDARY
-        status[:, 0] = status[:, -1] = BOUNDARY
-        dom = GridDomain(kind="cartesian", status=status,
-                         bdata=np.full((ny, nx), np.nan),
-                         x_start=x0, y_start=y0, hx=hx, hy=hy)
-        dom.set_rectangle_boundary(boundary)
-        dom._check()
-        return dom
-
-    def set_rectangle_boundary(self, boundary):
-        X, Y = self.coords()
-        ny, nx = self.status.shape
-        vals = np.full((ny, nx), np.nan)
-        if boundary is None:
-            boundary = 0.0
-        if isinstance(boundary, dict):
-            def arc(spec, coord):
-                if callable(spec):
-                    return np.asarray(spec(coord), dtype=np.float64) + 0.0 * coord
-                return np.full_like(coord, float(spec))
-
-            left = arc(boundary.get("left", 0.0), Y[:, 0])
-            right = arc(boundary.get("right", 0.0), Y[:, -1])
-            bottom = arc(boundary.get("bottom", 0.0), X[0, :])
-            top = arc(boundary.get("top", 0.0), X[-1, :])
-            vals[:, 0] = left
-            vals[:, -1] = right
-            vals[0, :] = bottom
-            vals[-1, :] = top
-            # jump nodes at corners: average of the two one-sided limits
-            vals[0, 0] = 0.5 * (left[0] + bottom[0])
-            vals[-1, 0] = 0.5 * (left[-1] + top[0])
-            vals[0, -1] = 0.5 * (right[0] + bottom[-1])
-            vals[-1, -1] = 0.5 * (right[-1] + top[-1])
-            corners = boundary.get("corners", {})
-            for (j, i), v in corners.items():
-                vals[j, i] = float(v)
-        elif callable(boundary):
-            m = self.status == BOUNDARY
-            vals[m] = np.asarray(boundary(X[m], Y[m]), dtype=np.float64) + 0.0 * X[m]
-        else:
-            vals[self.status == BOUNDARY] = float(boundary)
-        self.bdata = np.where(self.status == BOUNDARY, vals, np.nan)
+        return GridDomain._lattice(x0, x1, y0, y1, h, lambda x, y: np.ones(x.shape, bool),
+                                   boundary, _RECTANGLE_ARCS)
 
     @staticmethod
     def annulus(r0: float, r1: float, nr: int, ntheta: int,
-                inner=0.0, outer=0.0, center=(0.0, 0.0)) -> "GridDomain":
-        """Full polar annulus r0 <= r <= r1, theta periodic.
+                inner=0.0, outer=0.0, center=(0.0, 0.0), **unknown) -> "GridDomain":
+        """Full polar annulus r0 <= r <= r1 about ``center``, theta periodic.
 
-        ``inner``/``outer`` are constants or callables of theta.
+        ``inner``/``outer`` are the data of the two rings, constants or
+        callables of chart (x, y); any other keyword is an unknown arc and
+        raises ValueError.
         """
         if r0 <= 0:
             raise ValueError("annulus needs r0 > 0 (pole excluded)")
-        hr = (r1 - r0) / nr
-        ht = 2 * np.pi / ntheta
         status = np.full((ntheta, nr + 1), INTERIOR, dtype=np.int8)
         status[:, 0] = status[:, -1] = BOUNDARY
-        bdata = np.full((ntheta, nr + 1), np.nan)
-        t = ht * np.arange(ntheta)
-        bdata[:, 0] = inner(t) if callable(inner) else float(inner)
-        bdata[:, -1] = outer(t) if callable(outer) else float(outer)
-        dom = GridDomain(kind="polar", status=status, bdata=bdata,
-                         r_start=r0, hr=hr, ht=ht, center=center, periodic=True)
+        dom = GridDomain(kind="polar", status=status, bdata=np.full(status.shape, np.nan),
+                         r_start=r0, hr=(r1 - r0) / nr, ht=2 * np.pi / ntheta,
+                         center=center, periodic=True)
+        dom.bdata = _boundary_data(dom, {"inner": inner, "outer": outer, **unknown},
+                                   _ANNULUS_ARCS)
         dom._check()
         return dom
 
@@ -162,31 +120,29 @@ class GridDomain:
         """Masked cartesian lattice: nodes with keep(x, y) true are carried.
 
         Carried nodes whose 4-neighborhood is fully carried are interior;
-        the rest are boundary and take Dirichlet data from ``boundary``.
+        the rest are boundary and take the one datum ``boundary``, a
+        constant or a callable of (x, y); a per-arc dict raises ValueError.
         """
+        return GridDomain._lattice(x0, x1, y0, y1, h, keep, boundary, None)
+
+    @staticmethod
+    def _lattice(x0, x1, y0, y1, h, keep, boundary, arcs) -> "GridDomain":
+        """Cartesian lattice on [x0, x1] x [y0, y1], spacing snapped to ~h;
+        the rectangle is the mask that keeps every node."""
         nx = max(2, int(round((x1 - x0) / h))) + 1
         ny = max(2, int(round((y1 - y0) / h))) + 1
         hx = (x1 - x0) / (nx - 1)
         hy = (y1 - y0) / (ny - 1)
-        x = x0 + hx * np.arange(nx)
-        y = y0 + hy * np.arange(ny)
-        X, Y = np.meshgrid(x, y)
+        X, Y = np.meshgrid(x0 + hx * np.arange(nx), y0 + hy * np.arange(ny))
         keep_m = np.asarray(keep(X, Y), dtype=bool)
         status = np.where(keep_m, INTERIOR, EXCLUDED).astype(np.int8)
-        inner = keep_m.copy()
-        inner[[0, -1], :] = False
-        inner[:, [0, -1]] = False
-        inner[1:-1, 1:-1] &= (keep_m[:-2, 1:-1] & keep_m[2:, 1:-1]
-                              & keep_m[1:-1, :-2] & keep_m[1:-1, 2:])
+        inner = np.zeros_like(keep_m)
+        inner[1:-1, 1:-1] = (keep_m[1:-1, 1:-1] & keep_m[:-2, 1:-1] & keep_m[2:, 1:-1]
+                             & keep_m[1:-1, :-2] & keep_m[1:-1, 2:])
         status[keep_m & ~inner] = BOUNDARY
-        bdata = np.full((ny, nx), np.nan)
-        bm = status == BOUNDARY
-        if callable(boundary):
-            bdata[bm] = np.asarray(boundary(X[bm], Y[bm]), dtype=np.float64) + 0.0 * X[bm]
-        else:
-            bdata[bm] = float(boundary)
-        dom = GridDomain(kind="cartesian", status=status, bdata=bdata,
+        dom = GridDomain(kind="cartesian", status=status, bdata=np.full((ny, nx), np.nan),
                          x_start=x0, y_start=y0, hx=hx, hy=hy)
+        dom.bdata = _boundary_data(dom, boundary, arcs)
         dom._check()
         return dom
 
@@ -210,12 +166,8 @@ class GridDomain:
         j, i = node
         if self.status[j, i] != INTERIOR:
             raise ValueError("puncture must be an interior node")
-        new = GridDomain(kind=self.kind, status=self.status.copy(),
-                         bdata=self.bdata.copy(),
-                         x_start=self.x_start, y_start=self.y_start,
-                         hx=self.hx, hy=self.hy, r_start=self.r_start,
-                         hr=self.hr, ht=self.ht, center=self.center,
-                         periodic=self.periodic, bridges=dict(self.bridges))
+        new = replace(self, status=self.status.copy(), bdata=self.bdata.copy(),
+                      bridges=dict(self.bridges))
         new.status[j, i] = BRIDGE
         for pair in (((j, i - 1), (j, i + 1)), ((j - 1, i), (j + 1, i))):
             (j1, i1), (j2, i2) = pair
@@ -264,6 +216,44 @@ class GridDomain:
                              f"{n_ok[j, i]} carried neighbors")
 
 
+# lattice slices of each named boundary arc
+_RECTANGLE_ARCS = {"left": np.s_[:, 0], "right": np.s_[:, -1],
+                   "bottom": np.s_[0, :], "top": np.s_[-1, :]}
+_ANNULUS_ARCS = {"inner": np.s_[:, 0], "outer": np.s_[:, -1]}
+
+
+def _sample(dom: GridDomain, datum, where):
+    """A datum (a constant, or a callable of chart (x, y)) at the nodes
+    ``dom[where]``, NaN elsewhere."""
+    X, Y = dom.coords()
+    vals = np.full(dom.shape, np.nan)
+    if callable(datum):
+        vals[where] = np.asarray(datum(X[where], Y[where]), dtype=np.float64) + 0.0 * X[where]
+    else:
+        vals[where] = float(datum)
+    return vals
+
+
+def _boundary_data(dom: GridDomain, boundary, arcs):
+    """Dirichlet values of ``dom`` at its BOUNDARY nodes, NaN elsewhere, by
+    the module's boundary-data rule; ``arcs`` maps each arc name to its
+    lattice slice, and is None where only one datum is allowed."""
+    if not isinstance(boundary, dict):
+        return _sample(dom, boundary, dom.status == BOUNDARY)
+    if arcs is None:
+        raise ValueError("per-arc boundary data needs a rectangle or an annulus")
+    unknown = [name for name in boundary if name not in arcs]
+    if unknown:
+        raise ValueError(f"unknown boundary arc {unknown[0]!r}; choose from {tuple(arcs)}")
+    vals = np.full(dom.shape, np.nan)
+    seen = np.zeros(dom.shape, dtype=bool)
+    for name, arc in arcs.items():
+        v = _sample(dom, boundary.get(name, 0.0), arc)[arc]
+        vals[arc] = np.where(seen[arc], 0.5 * (vals[arc] + v), v)
+        seen[arc] = True
+    return vals
+
+
 @dataclass
 class ScalarGrid:
     """Node values over the carried nodes of a GridDomain (NaN elsewhere)."""
@@ -281,16 +271,11 @@ class ScalarGrid:
 
     @staticmethod
     def from_function(dom: GridDomain, f) -> "ScalarGrid":
-        X, Y = dom.coords()
-        vals = np.full(dom.shape, np.nan)
-        m = dom.carried()
-        vals[m] = np.asarray(f(X[m], Y[m]), dtype=np.float64) + 0.0 * X[m]
-        return ScalarGrid(dom, vals)
+        return ScalarGrid(dom, _sample(dom, f, dom.carried()))
 
     @staticmethod
     def zeros(dom: GridDomain) -> "ScalarGrid":
-        vals = np.where(dom.carried(), 0.0, np.nan)
-        return ScalarGrid(dom, vals)
+        return ScalarGrid.from_function(dom, 0.0)
 
     def copy(self) -> "ScalarGrid":
         return ScalarGrid(self.domain, self.values.copy())

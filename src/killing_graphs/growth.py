@@ -30,6 +30,10 @@ from .solver import SolveReport
 # ---------------------------------------------------------------------------
 # Geodesic circles
 
+class ChartExitError(ValueError):
+    """A geodesic circle left the model's chart."""
+
+
 @dataclass
 class GeodesicArc:
     points: np.ndarray    # (n, 2) chart coordinates
@@ -107,7 +111,7 @@ def _circles(model: MetricModel, p, radii, n_samples: int,
 
         ok = model.valid(pts[:, 0], pts[:, 1])
         if not np.all(ok):
-            raise ValueError(f"geodesic circle of radius {r} exits the chart")
+            raise ChartExitError(f"geodesic circle of radius {r} exits the chart")
         if mask is not None:
             keep = np.asarray(mask(pts[:, 0], pts[:, 1]), dtype=bool)
             pts, w = pts[keep], w[keep]

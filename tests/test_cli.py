@@ -317,3 +317,80 @@ def test_annulus_expression_evaluated_at_ring_nodes(tmp_path):
     t = dom.ht * np.arange(32)
     np.testing.assert_allclose(dom.bdata[:, 0], 5.0 + np.cos(t), rtol=0, atol=1e-15)
     np.testing.assert_allclose(dom.bdata[:, -1], 2.0 * np.sin(t), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("domain, boundary, builder", [
+    ({"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
+     {"left": "x+10", "right": "x*y", "bottom": "y-x", "top": 2.0}, "rectangle"),
+    ({"shape": "strip", "half_width": 1.0, "length": 2.0, "h": 0.25}, "x*y", "rectangle"),
+    ({"shape": "annulus", "r0": 1.0, "r1": 2.0, "nr": 8, "ntheta": 32, "center": [5.0, 0.0]},
+     {"inner": "x", "outer": "y"}, "annulus"),
+    ({"shape": "annulus", "r0": 1.0, "r1": 2.0, "nr": 8, "ntheta": 32}, "x", "annulus"),
+])
+def test_solve_builds_its_domain_once(tmp_path, monkeypatch, domain, boundary, builder):
+    from killing_graphs.grids import GridDomain
+    calls = {"rectangle": 0, "annulus": 0}
+
+    def counting(name):
+        build = getattr(GridDomain, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+        return staticmethod(wrapped)
+
+    for name in calls:
+        monkeypatch.setattr(GridDomain, name, counting(name))
+    cfg = write_cfg(tmp_path, {"model": {"preset": "euclidean"}, "domain": domain,
+                               "boundary": boundary, "output": {"dir": str(tmp_path / "out")}})
+    assert main(["solve", "--config", cfg]) == 0
+    assert calls == {"rectangle": 0, "annulus": 0, builder: 1}
+
+
+@pytest.mark.parametrize("shape, boundary", [
+    ({"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25}, {"lft": "1"}),
+    ({"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25}, {"corners": 1.0}),
+    ({"shape": "annulus", "r0": 1.0, "r1": 2.0, "nr": 4, "ntheta": 8}, {"left": "1"}),
+])
+def test_unknown_boundary_arc_exit_1(tmp_path, capsys, shape, boundary):
+    cfg = write_cfg(tmp_path, {"model": {"preset": "euclidean"}, "domain": shape,
+                               "boundary": boundary, "output": {"dir": str(tmp_path / "out")}})
+    assert main(["solve", "--config", cfg]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
+def test_experiment_removable_custom_annulus_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "model": {"preset": "warped-plane", "params": ["r"]},
+        "domain": {"shape": "annulus", "r0": 1.0, "r1": 2.0, "nr": 8, "ntheta": 32},
+        "experiment": {"case": "custom", "puncture": [1.5, 0.0], "hs": [0.25, 0.125]},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["experiment", "removable-singularity", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'annulus'" in err and "'h'" in err
+    assert not (tmp_path / "out" / "removable_singularity.csv").exists()
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    (["radial"], {"radial": {"mu": "1", "c": 1.5, "r0": 0.5, "r1": 2.0}}, "invalid c"),
+    (["growth"], {"model": {"preset": "euclidean", "chart": [-1, 1, -1, 1]},
+                  "growth": {"r0": 0.3, "r_max": 2.0, "n_radii": 6}}, "exits the chart"),
+    (["solve"], {"model": {"preset": "euclidean"},
+                 "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
+                 "boundary": "0", "H": "log(x)"}, "non-finite"),
+])
+def test_numerical_error_exit_3(tmp_path, capsys, command, cfg, message):
+    path = write_cfg(tmp_path, {**cfg, "output": {"dir": str(tmp_path / "out")}})
+    assert main(command + ["--config", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and message in err
+
+
+def test_expression_error_while_building_domain_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"model": {"preset": "euclidean"},
+                               "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
+                               "boundary": "log(x)", "output": {"dir": str(tmp_path / "out")}})
+    assert main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")

@@ -25,11 +25,33 @@ def test_rectangle_boundary_arcs_and_corner_average():
     assert dom.bdata[-1, -1] == 1.5
 
 
-def test_rectangle_corner_override():
-    dom = GridDomain.rectangle(0, 1, 0, 1, 0.5, boundary={
-        "left": 1.0, "right": 3.0, "bottom": 0.0, "top": 0.0,
-        "corners": {(0, 0): 7.0}})
-    assert dom.bdata[0, 0] == 7.0
+def test_rectangle_rejects_corners_as_unknown_arc():
+    with pytest.raises(ValueError, match="unknown boundary arc 'corners'"):
+        GridDomain.rectangle(0, 1, 0, 1, 0.5, boundary={
+            "left": 1.0, "right": 3.0, "bottom": 0.0, "top": 0.0,
+            "corners": {(0, 0): 7.0}})
+
+
+def test_annulus_rejects_unknown_arc():
+    with pytest.raises(ValueError, match="unknown boundary arc 'left'"):
+        GridDomain.annulus(1.0, 2.0, 4, 8, inner=1.0, left=2.0)
+
+
+def test_masked_rejects_per_arc_dict():
+    with pytest.raises(ValueError, match="per-arc"):
+        GridDomain.masked(-1, 1, -1, 1, 0.25, keep=lambda x, y: x ** 2 + y ** 2 <= 1,
+                          boundary={"left": 1.0})
+
+
+def test_rectangle_arc_callables_take_chart_xy():
+    dom = GridDomain.rectangle(-1.3, 0.7, -0.4, 1.0, 0.1, boundary={
+        "left": lambda x, y: x + 10 * y, "top": lambda x, y: x * y})
+    X, Y = dom.coords()
+    np.testing.assert_array_equal(dom.bdata[1:-1, 0], X[1:-1, 0] + 10 * Y[1:-1, 0])
+    np.testing.assert_array_equal(dom.bdata[-1, 1:-1], X[-1, 1:-1] * Y[-1, 1:-1])
+    np.testing.assert_array_equal(dom.bdata[1:-1, -1], 0.0)   # a missing arc gets 0
+    x, y = X[-1, 0], Y[-1, 0]
+    assert dom.bdata[-1, 0] == 0.5 * ((x + 10 * y) + x * y)   # the top-left corner
 
 
 def test_boundary_must_be_finite():
@@ -47,6 +69,16 @@ def test_annulus_periodic_neighbors():
     nb, ok = dom.neighbors(axis=0, step=1)
     assert np.unravel_index(nb[7, 2], dom.shape) == (0, 2)  # theta wrap
     assert ok[7, 2]
+
+
+def test_annulus_ring_callables_take_chart_xy():
+    dom = GridDomain.annulus(1.0, 2.0, 8, 32, inner=lambda x, y: x, outer=lambda x, y: x * y,
+                             center=(5.0, 0.0))
+    t = dom.ht * np.arange(32)
+    X, Y = dom.coords()
+    np.testing.assert_allclose(dom.bdata[:, 0], 5.0 + np.cos(t), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(dom.bdata[:, -1], X[:, -1] * Y[:, -1])
+    assert np.all(np.isnan(dom.bdata[:, 1:-1]))
 
 
 def test_annulus_needs_positive_inner_radius():

@@ -221,7 +221,7 @@ def _assembly_cases():
                                 boundary=lambda x, y: np.sin(3 * x) + x * y)
     disk = disk_sin2theta_domain(1 / 8)
     disk = disk.with_puncture(disk.nearest_node((0.25, 0.25)))
-    ann = GridDomain.annulus(1.0, 2.0, 6, 16, inner=lambda t: np.cos(t), outer=0.3)
+    ann = GridDomain.annulus(1.0, 2.0, 6, 16, inner=lambda x, y: x, outer=0.3)
     rng = np.random.default_rng(2)
     out = []
     for name, dom in (("rectangle", rect), ("punctured-disk", disk), ("annulus", ann)):

@@ -172,7 +172,8 @@ def test_exhaustion_cauchy_monitor_decreases():
         arc_l = float(np.clip(np.sin(-n), -1, 1))
         arc_r = float(np.clip(np.sin(n), -1, 1))
         return GridDomain.rectangle(-n, n, -1, 1, 1 / 8, boundary={
-            "bottom": np.sin, "top": np.sin, "left": arc_l, "right": arc_r})
+            "bottom": lambda x, y: np.sin(x), "top": lambda x, y: np.sin(x),
+            "left": arc_l, "right": arc_r})
 
     ex = exhaustion_solve(m, [make(n) for n in (2, 3, 4, 5, 6)])
     assert all(b < a for a, b in zip(ex.cauchy, ex.cauchy[1:]))
