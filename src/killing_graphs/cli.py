@@ -293,7 +293,7 @@ def _exp_nil_strip(cfg, out):
 def _exp_removable(cfg, out):
     ec = cfg.get("experiment", {})
     case = ec.get("case", "disk")
-    hs = tuple(ec.get("hs", (1 / 16, 1 / 32, 1 / 64)))
+    hs = tuple(ec.get("hs", experiments._HS))
     # the config's solver section goes over the experiment's tight tolerance
     scfg = _solver_config({"solver": {"tol_factor": experiments._TOL_FACTOR,
                                       **cfg.get("solver", {})}})

@@ -19,6 +19,7 @@ from .models import MetricModel, builtin_model
 from .solver import SolveConfig, solve_dirichlet
 
 _TOL_FACTOR = 1e-13  # default tol_factor of the puncture experiments, API and CLI alike
+_HS = (1 / 16, 1 / 32, 1 / 64)  # default lattice steps of the puncture experiments, likewise
 
 
 @dataclass
@@ -44,7 +45,7 @@ def removable_singularity_experiment(model: MetricModel,
                                      domain_factory: Callable[[float], GridDomain],
                                      puncture_point,
                                      H=None,
-                                     hs: Sequence[float] = (1 / 16, 1 / 32, 1 / 64),
+                                     hs: Sequence[float] = _HS,
                                      config: Optional[SolveConfig] = None
                                      ) -> RemovableSingularityReport:
     """Max |u_full - u_punctured| over the remaining nodes, per lattice step.
@@ -106,9 +107,9 @@ def _run_puncture_case(case, hs, puncture=None, config=None) -> RemovableSingula
                                             hs=hs, config=config)
 
 
-def run_disk_puncture(hs=(1 / 16, 1 / 32, 1 / 64), puncture=None) -> RemovableSingularityReport:
+def run_disk_puncture(hs=_HS, puncture=None) -> RemovableSingularityReport:
     return _run_puncture_case("disk", hs, puncture)
 
 
-def run_sol3_puncture(hs=(1 / 16, 1 / 32, 1 / 64), puncture=None) -> RemovableSingularityReport:
+def run_sol3_puncture(hs=_HS, puncture=None) -> RemovableSingularityReport:
     return _run_puncture_case("sol3", hs, puncture)

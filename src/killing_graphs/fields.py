@@ -85,10 +85,6 @@ class ScalarField:
                     np.asarray(self.fyy(x, y), dtype=np.float64))
         return _fd_second(self.fn, x, y)
 
-    @property
-    def has_analytic_partials(self) -> bool:
-        return self.fx is not None and self.fy is not None
-
 
 def const_field(c: float) -> ScalarField:
     c = float(c)

@@ -36,19 +36,6 @@ class NilIsometry:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown isometry kind {self.kind!r}")
 
-    def apply_point(self, x, y, z, tau: float):
-        c = self.param
-        if self.kind == "phi1":
-            return x + c, y, z + c * tau * y
-        if self.kind == "phi2":
-            return x, y + c, z - c * tau * x
-        if self.kind == "phi3":
-            return x, y, z + c
-        if self.kind == "phi4":
-            ct, st = np.cos(c), np.sin(c)
-            return x * ct - y * st, x * st + y * ct, z
-        return x, -y, -z
-
 
 def apply_isometry_to_graph(iso: NilIsometry, u: ScalarGrid, tau: float,
                             target: Optional[GridDomain] = None) -> ScalarGrid:

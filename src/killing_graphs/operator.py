@@ -11,8 +11,11 @@ The same edge tables drive the residual, the exact Jacobian and the
 discrete divergence-theorem check, so the three are consistent by
 construction.  One flux kernel serves the Newton residual and the Picard
 residual (area element frozen); the residual is one scatter into the
-unknown rows, and the Jacobian's sparsity pattern is built once per
-AssemblyCache, so each call computes only the values.
+unknown rows.  The Jacobian's CSR structure is fixed once per
+AssemblyCache: every stencil entry has a fixed CSR slot, and each slot sums
+its entries in the order ``coo_matrix.tocsr`` would.  Each call computes
+only the values and sums them into those slots, with the same bits as a
+COO-to-CSR conversion and without its sort.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class AssemblyCache(NodeFields):
     """Static tables binding a MetricModel to a GridDomain.
 
     Besides the edge families it holds the residual's scatter rows and the
-    Jacobian's sparsity pattern, both built once here.
+    Jacobian's fixed CSR slots, both built once here.
     """
 
     def __init__(self, model: MetricModel, dom: GridDomain):
@@ -173,8 +176,40 @@ class AssemblyCache(NodeFields):
             jcols.append(np.broadcast_to(cols[:, None, :], fam.jac_mask.shape)[fam.jac_mask])
         jrows.append(np.broadcast_to(self.bridge_rows[:, None], bridge.shape)[bkeep])
         jcols.append(bcols[bkeep])
-        self._jac_rows = np.concatenate(jrows).astype(np.int32)
-        self._jac_cols = np.concatenate(jcols).astype(np.int32)
+        self._capture_slots(np.concatenate(jrows).astype(np.int32),
+                            np.concatenate(jcols).astype(np.int32))
+
+    def _capture_slots(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Fix the CSR slot of every Jacobian entry and the order in which
+        ``coo_matrix.tocsr`` sums each slot's entries.
+
+        ``tocsr`` buckets the entries by row (a stable counting sort), sorts
+        each row with ``sort_indices`` and sums runs of equal columns left
+        to right.  Running the same bucketing and the same ``sort_indices``
+        with entry ids as the data yields that order, so :meth:`jacobian`
+        reproduces ``tocsr``'s values bit for bit.
+        """
+        n = self.n_unknowns
+        order = np.argsort(rows, kind="stable").astype(np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        S = sp.csr_matrix((order, cols[order], indptr), shape=(n, n))
+        S.sort_indices()
+        ids, cols = S.data, S.indices
+        # an entry opens a slot at the start of its row or at a new column
+        opens = np.ones(ids.size, dtype=bool)
+        opens[1:] = cols[1:] != cols[:-1]
+        opens[indptr[:-1][np.diff(indptr) > 0]] = True
+        starts = np.flatnonzero(opens).astype(np.int32)
+        self._jac_indices = cols[starts]
+        self._jac_indptr = np.searchsorted(starts, indptr).astype(np.int32)
+        # the k-th summand of every slot with more than k entries
+        counts = np.diff(np.append(starts, ids.size))
+        self._slot_first = ids[starts]
+        self._slot_rest = []
+        for k in range(1, int(counts.max(initial=1))):
+            slots = np.flatnonzero(counts > k).astype(np.int32)
+            self._slot_rest.append((slots, ids[starts[slots] + k]))
 
     # -- per-node directional slope forms -----------------------------------
 
@@ -316,9 +351,15 @@ class AssemblyCache(NodeFields):
             dv = np.concatenate([dn[None], -dn[None], dF_dG2 * fam.t_w.T / fam.lam])
             vals.append(np.stack([dv * fam.cA, -dv * fam.cB], axis=1)[fam.jac_mask])
         vals.append(self._bridge_vals)
-        J = sp.coo_matrix((np.concatenate(vals), (self._jac_rows, self._jac_cols)),
+        vals = np.concatenate(vals)
+        data = vals[self._slot_first]
+        for slots, ids in self._slot_rest:
+            data[slots] += vals[ids]
+        # each matrix owns its structure, so in-place edits leave the cache intact
+        J = sp.csr_matrix((data, self._jac_indices.copy(), self._jac_indptr.copy()),
                           shape=(self.n_unknowns, self.n_unknowns))
-        return J.tocsr()
+        J.has_canonical_format = True
+        return J
 
     def frozen_W(self, u_grid: np.ndarray) -> list:
         u_flat = u_grid.ravel()

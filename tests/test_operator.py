@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from killing_graphs.experiments import disk_sin2theta_domain
+from killing_graphs.experiments import disk_sin2theta_domain, sol3_exact_domain
 from killing_graphs.grids import BOUNDARY, GridDomain, ScalarGrid
 from killing_graphs.models import builtin_model, gauge_change
 from killing_graphs.fields import expr_field
@@ -215,21 +215,26 @@ def test_vertical_translation_invariance_bitwise():
 
 def _assembly_cases():
     """(name, model, domain, u) on a cartesian rectangle, a punctured masked
-    disk (one bridge row) and a periodic annulus."""
+    disk (one bridge row), a periodic annulus and a punctured sol3 rectangle
+    (one bridge row, non-constant lambda)."""
     nil = builtin_model("nil3", (0.5,))
+    sol3 = builtin_model("sol3-halfplane")
     rect = GridDomain.rectangle(-1, 1, -1, 1, 1 / 8,
                                 boundary=lambda x, y: np.sin(3 * x) + x * y)
     disk = disk_sin2theta_domain(1 / 8)
     disk = disk.with_puncture(disk.nearest_node((0.25, 0.25)))
     ann = GridDomain.annulus(1.0, 2.0, 6, 16, inner=lambda x, y: x, outer=0.3)
+    strip = sol3_exact_domain(1 / 4)
+    strip = strip.with_puncture(strip.nearest_node((0.0, 2.0)))
     rng = np.random.default_rng(2)
     out = []
-    for name, dom in (("rectangle", rect), ("punctured-disk", disk), ("annulus", ann)):
+    for name, model, dom in (("rectangle", nil, rect), ("punctured-disk", nil, disk),
+                             ("annulus", nil, ann), ("punctured-sol3", sol3, strip)):
         X, Y = dom.coords()
         u = np.sin(2 * X) + 0.5 * X * Y + 0.1 * rng.uniform(-1, 1, dom.shape)
         u = np.where(dom.status == BOUNDARY, dom.bdata, u)
         u[~dom.carried()] = np.nan
-        out.append((name, nil, dom, u))
+        out.append((name, model, dom, u))
     return out
 
 
@@ -257,6 +262,23 @@ def test_jacobians_match_central_differences(case):
             Fm = cache.residual(_with_unknowns(cache, u, vec - e), rhs, frozen_W=frozen)
             fd[:, k] = (Fp - Fm) / (2 * eps)
         assert np.max(np.abs(J - fd)) <= 1e-8 * np.max(np.abs(J))
+
+
+def test_jacobian_assembly_makes_no_coo_conversion(monkeypatch):
+    # the CSR slots are fixed when the cache is built, so no Jacobian call
+    # sorts or sums a COO pattern again
+    _, model, dom, u = _assembly_cases()[1]
+    cache = AssemblyCache(model, dom)
+    ref = [cache.jacobian(u), cache.jacobian(u, frozen_W=cache.frozen_W(u))]
+
+    def no_tocsr(self, *args, **kwargs):
+        raise AssertionError("coo_matrix.tocsr called")
+
+    monkeypatch.setattr(sp.coo_matrix, "tocsr", no_tocsr)
+    for J, frozen in zip(ref, (None, cache.frozen_W(u))):
+        K = cache.jacobian(u, frozen_W=frozen)
+        assert isinstance(K, sp.csr_matrix) and K.shape == J.shape
+        assert np.array_equal(K.data, J.data)
 
 
 # Reference assembly, one node or one stencil entry at a time: a per-node

@@ -206,12 +206,14 @@ class _CountingLU:
 
 
 def _count_linear_algebra(monkeypatch):
-    """Count factorizations, triangular solves and assembled matrices."""
-    counts = {"splu": 0, "spsolve": 0, "lu_solves": 0, "matrices": 0}
+    """Count factorizations, triangular solves and assembled matrices, and
+    record the column ordering each factorization asks for."""
+    counts = {"splu": 0, "spsolve": 0, "lu_solves": 0, "matrices": 0, "permc_spec": []}
     splu, spsolve, jacobian = spla.splu, spla.spsolve, AssemblyCache.jacobian
 
     def counting_splu(*args, **kwargs):
         counts["splu"] += 1
+        counts["permc_spec"].append(kwargs.get("permc_spec"))
         return _CountingLU(splu(*args, **kwargs), counts)
 
     def counting_spsolve(*args, **kwargs):
@@ -239,6 +241,8 @@ def test_each_linear_system_factored_once(monkeypatch):
     assert counts["splu"] == counts["matrices"]
     assert counts["spsolve"] == 0
     assert counts["lu_solves"] == 2 * counts["splu"]
+    # the symmetric 5/9-point pattern is ordered by minimum degree on A^T + A
+    assert counts["permc_spec"] == ["MMD_AT_PLUS_A"] * counts["splu"]
 
 
 def _two_spsolve_linear_solve(J, rhs, rtol):
