@@ -131,14 +131,16 @@ def _build_domain(cfg: dict) -> GridDomain:
     return dom
 
 
+_SOLVER_KEYS = {"max_iters": int, "tol_factor": float}
+
+
 def _solver_config(cfg: dict) -> SolveConfig:
     sc = cfg.get("solver", {})
-    kwargs = {}
-    for key in ("max_iters", "tol_factor", "armijo", "min_step", "picard_after",
-                "linear_rtol"):
-        if key in sc:
-            kwargs[key] = type(getattr(SolveConfig(), key))(sc[key])
-    return SolveConfig(**kwargs)
+    unknown = sorted(set(sc) - set(_SOLVER_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown solver key(s) {unknown}; "
+                          f"the solver section takes max_iters and tol_factor")
+    return SolveConfig(**{k: _SOLVER_KEYS[k](v) for k, v in sc.items()})
 
 
 def _out_dir(cfg: dict, args) -> Path:

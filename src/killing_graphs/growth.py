@@ -163,27 +163,29 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
 
 
-def window_verdict(radii: np.ndarray, g: np.ndarray, eps0: float = 1e-3,
-                   ratio_cut: float = 0.9, base: float = 2.0):
+_EPS0 = 1e-3   # a dyadic-window increment of g this large counts as growth
+
+
+def window_verdict(radii: np.ndarray, g: np.ndarray):
     """Classify the tail of g by dyadic-window increments.
 
-    The last three increment ratios all below ``ratio_cut`` mean geometric
-    decay (converges); otherwise increments uniformly >= eps0 mean
+    The last three increment ratios all below 0.9 mean geometric decay
+    (converges); otherwise increments uniformly >= ``_EPS0`` mean
     divergence; anything else is inconclusive.  Finite data cannot decide a
     limit, so the inconclusive fallback is genuine.
     """
     r0, r1 = float(radii[0]), float(radii[-1])
     ends = [r0]
-    while ends[-1] * base <= r1 * (1 + 1e-12):
-        ends.append(ends[-1] * base)
+    while ends[-1] * 2.0 <= r1 * (1 + 1e-12):
+        ends.append(ends[-1] * 2.0)
     if len(ends) < 4:
         return "inconclusive", np.array([]), np.array([])
     gv = np.interp(ends, radii, g)
     incs = np.diff(gv)
-    ratios, decays = _tail_ratios(incs, ratio_cut)
+    ratios, decays = _tail_ratios(incs)
     if decays:
         return "converges", incs, ratios
-    if np.all(incs >= eps0):
+    if np.all(incs >= _EPS0):
         return "diverges", incs, ratios
     return "inconclusive", incs, ratios
 
@@ -205,10 +207,12 @@ class GrowthProfile:
     window_ratios: Optional[np.ndarray] = None
 
 
+_MIN_ARC_SAMPLES = 8   # a masked arc with fewer samples is not integrated
+
+
 def g_of_r(model: MetricModel, p, r0: float, r_max: float, n_radii: int = 200,
            variant: str = "plain", mask: Optional[Callable] = None,
-           n_arc: int = 512, eps0: float = 1e-3, min_arc_samples: int = 8,
-           spacing: str = "log") -> GrowthProfile:
+           n_arc: int = 512, spacing: str = "log") -> GrowthProfile:
     """Sample L(r) on geodesic circles and accumulate g(r) by trapezoid.
 
     The circles of all radii come from one outward pass (see
@@ -217,7 +221,7 @@ def g_of_r(model: MetricModel, p, r0: float, r_max: float, n_radii: int = 200,
     decays like a power, so this equidistributes the trapezoid error); pass
     spacing="linear" for a uniform grid.  The reported verdict classifies
     the dyadic-window increments of g.  When a mask is supplied, the first
-    radius whose arc keeps at least ``min_arc_samples`` samples becomes the
+    radius whose arc keeps at least ``_MIN_ARC_SAMPLES`` samples becomes the
     effective r0.
     """
     if not r_max > r0 > 0:
@@ -233,7 +237,7 @@ def g_of_r(model: MetricModel, p, r0: float, r_max: float, n_radii: int = 200,
         raise ValueError("spacing must be 'log' or 'linear'")
     arcs, Ls, used = [], [], []
     for arc in _circles(model, p, radii, n_arc, mask):
-        if len(arc.points) < min_arc_samples:
+        if len(arc.points) < _MIN_ARC_SAMPLES:
             if used:
                 raise ValueError(f"circle r={arc.radius} lost the domain after r0")
             continue
@@ -246,7 +250,7 @@ def g_of_r(model: MetricModel, p, r0: float, r_max: float, n_radii: int = 200,
     Ls = np.asarray(Ls)
     invL = 1.0 / Ls
     g = _cumulative_trapezoid(invL, used)
-    verdict, incs, ratios = window_verdict(used, g, eps0=eps0)
+    verdict, incs, ratios = window_verdict(used, g)
     return GrowthProfile(p=(float(p[0]), float(p[1])), radii=used, L=Ls, g=g,
                          variant=variant, verdict=verdict, arcs=arcs,
                          window_increments=incs, window_ratios=ratios)

@@ -141,6 +141,6 @@ def strip_uniqueness_experiment(tau: float, w: float, n_list: Sequence[float],
         shift = abs(K) + 2.0 * abs(tau) * n * w
         barrier = invariant_barrier(tau, c=-w, shift=shift)
         bar_grid = ScalarGrid.from_function(dom, barrier.value)
-        verdict = check_max_principle(model, dom, None, rep, bar_grid)
+        verdict = check_max_principle(rep, bar_grid)
         barrier_ok = barrier_ok and verdict.passed
     return StripUniquenessReport(tau=tau, width=w, runs=runs, barrier_ok=barrier_ok)

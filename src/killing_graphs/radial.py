@@ -117,12 +117,12 @@ def radial_profile(c: float, mu, r0: float = 1.0, r1: float = 2.0,
 # ---------------------------------------------------------------------------
 # Boundedness classification
 
-def _tail_ratios(incs: np.ndarray, ratio_cut: float = 0.9):
+def _tail_ratios(incs: np.ndarray):
     """Ratios of consecutive window increments (NaN after a zero one), and
-    whether the last three lie below ``ratio_cut``: geometric decay."""
+    whether the last three lie below 0.9: geometric decay."""
     ratios = incs[1:] / np.where(incs[:-1] == 0.0, np.nan, incs[:-1])
     tail = ratios[-3:]
-    return ratios, bool(np.all(np.isfinite(tail)) and np.all(tail < ratio_cut))
+    return ratios, bool(np.all(np.isfinite(tail)) and np.all(tail < 0.9))
 
 
 @dataclass
@@ -133,22 +133,22 @@ class BoundednessVerdict:
     ratios: np.ndarray
 
 
-def boundedness_classify(mu, c: float, r_max: float = 1e6,
-                         window: float = 1.5, r_base: float = 2.0) -> BoundednessVerdict:
+def boundedness_classify(mu, c: float, r_max: float = 1e6) -> BoundednessVerdict:
     """Heuristic tail classification of the profile u_c.
 
-    Windows are geometric in log r (r_{k+1} = r_k^window).  Window increments
-    of u that keep decaying geometrically mean a convergent tail (bounded);
-    non-decreasing increments mean divergence; anything else is inconclusive.
+    Windows are geometric in log r (r_0 = 2, r_{k+1} = r_k^1.5).  Window
+    increments of u that keep decaying geometrically mean a convergent tail
+    (bounded); non-decreasing increments mean divergence; anything else is
+    inconclusive.
     """
     mu_fn = as_radial(mu)
 
     def slope(s):
         return 1.0 / np.sqrt(_radicand(c, s, mu_fn))
 
-    pts = [r_base]
-    while pts[-1] ** window <= r_max:
-        pts.append(pts[-1] ** window)
+    pts = [2.0]
+    while pts[-1] ** 1.5 <= r_max:
+        pts.append(pts[-1] ** 1.5)
     pts = np.asarray(pts)
     if len(pts) < 4:
         return BoundednessVerdict("inconclusive", pts, np.array([]), np.array([]))

@@ -1,8 +1,10 @@
 """Damped Newton solver for the Dirichlet problem F(u) = 0.
 
-The Jacobian is the exact derivative of the flux-form residual.  A rejected
-backtracking search falls back to a Picard sweep (frozen area element) and
-the initial iterate always comes from one Picard solve with the area
+The Jacobian is the exact derivative of the flux-form residual.  When the
+backtracking search rejects a Newton step, or the Jacobian is singular, the
+same iteration ends with a Picard sweep (frozen area element): a rejected
+step would only be retried from the same iterate, with the same result.
+The initial iterate always comes from one Picard solve with the area
 element frozen at the zero-section value W0.
 
 Each Newton or Picard matrix is LU-factored exactly once with SuperLU.
@@ -10,8 +12,8 @@ Its pattern is the symmetric 5/9-point lattice stencil, so the columns are
 ordered by multiple minimum degree on A^T + A (``MMD_AT_PLUS_A``; Liu,
 ACM TOMS 1985; Davis, *Direct Methods for Sparse Linear Systems*, ch. 7),
 which fills far less than the unsymmetric COLAMD ordering.  The one step of
-iterative refinement taken when the linear residual exceeds
-``linear_rtol`` reuses those factors.  The factors live only for the
+iterative refinement taken when the linear relative residual exceeds
+``_LINEAR_RTOL`` reuses those factors.  The factors live only for the
 duration of one linear solve.
 
 The solve stops, with ``converged=True``, on either of two rules:
@@ -46,10 +48,6 @@ from .operator import AssemblyCache, nodal_rhs, raw_grid
 class SolveConfig:
     max_iters: int = 60
     tol_factor: float = 1e-10          # residual tol = tol_factor * (1 + |2 mu H|_inf)
-    armijo: float = 1e-4
-    min_step: float = 2.0 ** -20
-    picard_after: int = 5              # consecutive rejected steps before a Picard sweep
-    linear_rtol: float = 1e-12
 
 
 @dataclass
@@ -70,6 +68,9 @@ class SolveReport:
 _SINGULAR = (np.linalg.LinAlgError, RuntimeError)
 
 _EPS = float(np.finfo(float).eps)
+_ARMIJO = 1e-4              # sufficient decrease of |F|^2 in the line search
+_MIN_STEP = 2.0 ** -20      # the line search rejects the step below this t
+_LINEAR_RTOL = 1e-12        # linear relative residual that triggers refinement
 
 
 def _linear_solve(J, rhs, rtol):
@@ -95,12 +96,12 @@ def _full_grid(dom: GridDomain, interior_vec, cache: AssemblyCache) -> np.ndarra
 
 
 def _picard_solve(cache: AssemblyCache, u_grid: np.ndarray, rhs: np.ndarray,
-                  frozen_W: list, rtol: float) -> np.ndarray:
+                  frozen_W: list) -> np.ndarray:
     """Solve the affine frozen-coefficient system exactly (one linear solve)."""
     J = cache.jacobian(u_grid, frozen_W=frozen_W)
     vec = u_grid.ravel()[cache.flat_unknown].copy()
     F = cache.residual(u_grid, rhs, frozen_W=frozen_W)
-    delta = _linear_solve(J, -F, rtol)
+    delta = _linear_solve(J, -F, _LINEAR_RTOL)
     return vec + delta
 
 
@@ -110,9 +111,10 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
                     cache: Optional[AssemblyCache] = None) -> SolveReport:
     """Solve the prescribed-mean-curvature Dirichlet problem on ``dom``.
 
-    Newton iteration with backtracking line search; the default initial
-    iterate is one Picard solve with the area element frozen at the
-    zero-section value W0 = sqrt(1 + mu^2 (a^2 + b^2)).
+    Newton iteration with backtracking line search and a Picard sweep in
+    place of a rejected step; the default initial iterate is one Picard
+    solve with the area element frozen at the zero-section value
+    W0 = sqrt(1 + mu^2 (a^2 + b^2)).
     """
     t0 = time.perf_counter()
     cfg = config or SolveConfig()
@@ -130,7 +132,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
         zeros_everywhere = np.where(dom.carried(), 0.0, np.nan)
         W0 = cache.frozen_W(zeros_everywhere)
         try:
-            vec = _picard_solve(cache, zero_grid, rhs, W0, cfg.linear_rtol)
+            vec = _picard_solve(cache, zero_grid, rhs, W0)
         except _SINGULAR:
             vec = np.zeros(cache.n_unknowns)
             singular_start = True
@@ -138,7 +140,6 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
 
     damping: List[float] = []
     picard_sweeps = 0
-    rejected = 0
     stop_reason = "singular" if singular_start else "max-iters"
     iters = 0
     u = _full_grid(dom, vec, cache)
@@ -152,7 +153,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
         iters += 1
         try:
             J = cache.jacobian(u)
-            delta = _linear_solve(J, -F, cfg.linear_rtol)
+            delta = _linear_solve(J, -F, _LINEAR_RTOL)
         except _SINGULAR:
             delta = None
 
@@ -168,11 +169,11 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
             phi0 = float(F @ F)
             t = 1.0
             accepted = False
-            while t >= cfg.min_step:
+            while t >= _MIN_STEP:
                 trial = vec + t * delta
                 u_try = _full_grid(dom, trial, cache)
                 F_try = cache.residual(u_try, rhs)
-                if float(F_try @ F_try) <= (1.0 - 2.0 * cfg.armijo * t) * phi0:
+                if float(F_try @ F_try) <= (1.0 - 2.0 * _ARMIJO * t) * phi0:
                     accepted = True
                     break
                 t *= 0.5
@@ -180,19 +181,14 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
                 vec, u, F = trial, u_try, F_try
                 fnorm = float(np.max(np.abs(F)))
                 damping.append(t)
-                rejected = 0
                 continue
-            rejected += 1
             damping.append(0.0)
-            if rejected < cfg.picard_after:
-                continue
 
-        # Picard sweep: after a singular Jacobian, or after picard_after
-        # consecutive rejected Newton steps
+        # Picard sweep: after a singular Jacobian or a rejected Newton step
         try:
-            vec = _picard_solve(cache, u, rhs, cache.frozen_W(u), cfg.linear_rtol)
+            vec = _picard_solve(cache, u, rhs, cache.frozen_W(u))
         except _SINGULAR:
-            after = "a singular Jacobian" if delta is None else "rejected Newton steps"
+            after = "a singular Jacobian" if delta is None else "a rejected Newton step"
             message = f"singular Picard system in the fallback after {after}"
             stop_reason = "singular"
             break
@@ -203,8 +199,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
         if delta is None:
             message = "singular Jacobian; Picard fallback"
         else:
-            rejected = 0
-            message = "Picard fallback after rejected Newton steps"
+            message = "Picard fallback after a rejected Newton step"
 
     if fnorm <= tol:
         stop_reason = "tolerance"
@@ -278,20 +273,16 @@ class MaxPrincipleVerdict:
     boundary_ordered: bool
 
 
-def check_max_principle(model: MetricModel, dom: GridDomain, H,
-                        u_report, v_report,
-                        tol_mp: Optional[float] = None) -> MaxPrincipleVerdict:
-    """Check min(v - u) >= -tol_mp over the interior for solutions whose
-    boundary data satisfy u <= v (H(u) >= H(v) is the caller's contract)."""
-    u = u_report.u.values if isinstance(u_report, SolveReport) else u_report.values
-    v = v_report.u.values if isinstance(v_report, SolveReport) else v_report.values
-    if tol_mp is None:
-        base = 1e-10
-        if isinstance(u_report, SolveReport):
-            base = max(base, u_report.tolerance)
-        if isinstance(v_report, SolveReport):
-            base = max(base, v_report.tolerance)
-        tol_mp = 10.0 * base
+def check_max_principle(u_report, v_report) -> MaxPrincipleVerdict:
+    """Check min(v - u) >= -10 max(1e-10, tolerances) over the interior for
+    solutions whose boundary data satisfy u <= v (H(u) >= H(v) is the
+    caller's contract).  Each argument is a SolveReport or a ScalarGrid; the
+    lattice is that of ``u``."""
+    grids = [r.u if isinstance(r, SolveReport) else r for r in (u_report, v_report)]
+    u, v = (g.values for g in grids)
+    dom = grids[0].domain
+    tol_mp = 10.0 * max([1e-10] + [r.tolerance for r in (u_report, v_report)
+                                   if isinstance(r, SolveReport)])
     bnd = dom.status == BOUNDARY
     boundary_ordered = bool(np.all(u[bnd] <= v[bnd] + 1e-14))
     inter = dom.interior_mask()

@@ -394,3 +394,23 @@ def test_expression_error_while_building_domain_exit_1(tmp_path, capsys):
                                "boundary": "log(x)", "output": {"dir": str(tmp_path / "out")}})
     assert main(["solve", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command", [["solve"], ["experiment", "nil-strip"],
+                                     ["experiment", "removable-singularity"]])
+@pytest.mark.parametrize("key", ["max_iter", "armijo"])
+def test_unknown_solver_key_exit_1(tmp_path, capsys, command, key):
+    # a typo must not run a default solve: only max_iters and tol_factor exist
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {
+        "model": {"preset": "euclidean"},
+        "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
+        "boundary": 0.0,
+        "experiment": {"n_list": [2], "h": 0.25, "hs": [0.25]},
+        "solver": {key: 1},
+        "output": {"dir": str(out)},
+    })
+    assert main(command + ["--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(key) in err
+    assert not out.exists() or not any(out.iterdir())

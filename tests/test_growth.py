@@ -95,7 +95,7 @@ def test_sweep_stops_at_first_chart_exit(monkeypatch):
     monkeypatch.setattr(ScalarField, "partials", counted)
     # radii 0.3, 0.6, ..., 1.8: the circle of radius 1.2 is the first to leave
     with pytest.raises(ValueError, match=r"radius 1\.2\d* exits the chart"):
-        g_of_r(m, (0, 0), 0.3, 1.8, n_radii=6, spacing="linear", min_arc_samples=1)
+        g_of_r(m, (0, 0), 0.3, 1.8, n_radii=6, spacing="linear")
     assert reached
     assert max(reached) <= 1.2 + 1e-12
 

@@ -104,6 +104,17 @@ def test_nonconvergence_reported():
     assert rep.message != ""
 
 
+def test_rejected_step_ends_its_iteration_with_a_picard_sweep():
+    # no solution exists, so the line search keeps rejecting steps; each
+    # rejection is followed by a sweep in the same iteration, not retried
+    m = builtin_model("euclidean")
+    dom = GridDomain.rectangle(-1, 1, -1, 1, 1 / 8)
+    rep = solve_dirichlet(m, dom, H="5.0", config=SolveConfig(max_iters=8))
+    assert not rep.converged and rep.stop_reason == "max-iters"
+    assert rep.damping_history.count(0.0) > 1
+    assert rep.picard_sweeps == rep.damping_history.count(0.0)
+
+
 # -- comparison principle -------------------------------------------------------------
 
 def test_max_principle_identical_data():
@@ -111,7 +122,7 @@ def test_max_principle_identical_data():
     dom = GridDomain.rectangle(-1, 1, -1, 1, 1 / 8,
                                boundary=lambda x, y: np.sin(x) * y)
     rep = solve_dirichlet(m, dom)
-    v = check_max_principle(m, dom, None, rep, rep)
+    v = check_max_principle(rep, rep)
     assert v.passed and v.worst_violation >= 0.0
 
 
@@ -123,7 +134,7 @@ def test_max_principle_shifted_data():
                                  boundary=lambda x, y: phi(x, y) + 1.0)
     ru = solve_dirichlet(m, dom_u)
     rv = solve_dirichlet(m, dom_v)
-    verdict = check_max_principle(m, dom_u, None, ru, rv)
+    verdict = check_max_principle(ru, rv)
     assert verdict.passed
     diff = rv.u.values - ru.u.values
     assert np.nanmin(diff[dom_u.interior_mask()]) >= 1.0 - 1e-9
@@ -135,7 +146,7 @@ def test_max_principle_flags_unordered_boundary():
     dom_v = GridDomain.rectangle(-1, 1, -1, 1, 1 / 8, boundary=0.0)
     ru = solve_dirichlet(m, dom_u)
     rv = solve_dirichlet(m, dom_v)
-    verdict = check_max_principle(m, dom_u, None, ru, rv)
+    verdict = check_max_principle(ru, rv)
     assert not verdict.boundary_ordered and not verdict.passed
 
 
@@ -231,10 +242,10 @@ def _count_linear_algebra(monkeypatch):
 
 
 def test_each_linear_system_factored_once(monkeypatch):
-    # linear_rtol = 0 forces the refinement step on every system
+    # _LINEAR_RTOL = 0 forces the refinement step on every system
+    monkeypatch.setattr(solver, "_LINEAR_RTOL", 0.0)
     counts = _count_linear_algebra(monkeypatch)
-    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip(),
-                          config=SolveConfig(linear_rtol=0.0))
+    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip())
     assert rep.converged and rep.iterations >= 3
     # one Picard matrix for the initial iterate, one Jacobian per Newton step
     assert counts["matrices"] == 1 + rep.iterations + rep.picard_sweeps
@@ -258,10 +269,10 @@ def _two_spsolve_linear_solve(J, rhs, rtol):
 
 def test_factor_reuse_matches_two_spsolve_path(monkeypatch):
     m = builtin_model("nil3", (0.5,))
-    cfg = SolveConfig(linear_rtol=0.0)
-    rep = solve_dirichlet(m, _clamped_strip(), config=cfg)
+    monkeypatch.setattr(solver, "_LINEAR_RTOL", 0.0)
+    rep = solve_dirichlet(m, _clamped_strip())
     monkeypatch.setattr(solver, "_linear_solve", _two_spsolve_linear_solve)
-    ref = solve_dirichlet(m, _clamped_strip(), config=cfg)
+    ref = solve_dirichlet(m, _clamped_strip())
     assert rep.converged and ref.converged
     assert rep.iterations == ref.iterations
     assert rep.picard_sweeps == ref.picard_sweeps
@@ -368,5 +379,6 @@ def test_large_step_under_floor_does_not_stop(monkeypatch):
                         lambda J, rhs, rtol: np.full(rhs.shape, 1e-3))
     rep = solve_dirichlet(model, dom, init=done.u,
                           config=SolveConfig(tol_factor=0.0, max_iters=1))
-    assert rep.residual_norm == done.residual_norm
+    # the large step was rejected, never taken, and a Picard sweep replaced it
+    assert rep.damping_history == [0.0] and rep.picard_sweeps == 1
     assert not rep.converged and rep.stop_reason == "max-iters"
