@@ -193,7 +193,9 @@ def cmd_solve(cfg: dict, args) -> int:
     _write_json(out / "report.json", {
         "converged": rep.converged,
         "stop_reason": rep.stop_reason,
+        "start": rep.start,
         "iterations": rep.iterations,
+        "coarse_iterations": rep.coarse_iterations,
         "residual_norm": rep.residual_norm,
         "tolerance": rep.tolerance,
         "picard_sweeps": rep.picard_sweeps,
@@ -286,7 +288,9 @@ def _exp_nil_strip(cfg, out):
         "barrier_comparison_passed": rep.barrier_ok,
         "note": rep.note,
         "runs": [{"n": r.n, "converged": r.converged,
-                  "stop_reason": r.report.stop_reason} for r in rep.runs],
+                  "stop_reason": r.report.stop_reason,
+                  "start": r.report.start,
+                  "coarse_iterations": r.report.coarse_iterations} for r in rep.runs],
     })
     print(f"nil-strip: core sups {['%.6g' % s for s in sups]}; wrote {out/'nil_strip.csv'}")
     return _experiment_exit("nil-strip", [r.converged for r in rep.runs])
@@ -323,8 +327,13 @@ def _exp_removable(cfg, out):
         "runs": [{"h": r.h,
                   "full_converged": r.full_converged,
                   "full_stop_reason": r.full_stop_reason,
+                  "full_start": r.full_start,
+                  "full_coarse_iterations": r.full_coarse_iterations,
                   "punctured_converged": r.punctured_converged,
-                  "punctured_stop_reason": r.punctured_stop_reason} for r in rep.runs],
+                  "punctured_stop_reason": r.punctured_stop_reason,
+                  "punctured_start": r.punctured_start,
+                  "punctured_coarse_iterations": r.punctured_coarse_iterations}
+                 for r in rep.runs],
     })
     print(f"removable-singularity[{case}]: diffs "
           f"{['%.3e' % r.max_difference for r in rep.runs]}, monotone={rep.monotone_decay}")

@@ -18,6 +18,11 @@ rectangle takes one datum or a dict of them keyed by left/right/bottom/top
 (a missing arc gets 0), an annulus one per ring (inner/outer), a masked
 lattice one.  A corner takes the mean of its two arcs, the two one-sided
 limits of piecewise continuous data; an unknown arc name raises ValueError.
+
+Values move between lattices by one rule, :meth:`ScalarGrid.transfer`:
+coinciding nodes (:func:`coincident_nodes`) copy exactly, other nodes
+interpolate bilinearly, and Dirichlet data and bridge values come from the
+target lattice.
 """
 
 from __future__ import annotations
@@ -254,6 +259,42 @@ def _boundary_data(dom: GridDomain, boundary, arcs):
     return vals
 
 
+def _axes(dom: GridDomain):
+    """(start, step, count) of lattice axes 0 and 1: (y, x) on cartesian
+    lattices, (theta, r) on polar ones."""
+    n1, n0 = dom.shape
+    if dom.kind == "cartesian":
+        return (dom.y_start, dom.hy, n1), (dom.x_start, dom.hx, n0)
+    return (0.0, dom.ht, n1), (dom.r_start, dom.hr, n0)
+
+
+def _axis_map(src, dst):
+    """For each node of the axis ``dst``, the index of the node of the axis
+    ``src`` at the same position, or -1; each axis is (start, step, count)."""
+    (s0, h0, n0), (s1, h1, n1) = src, dst
+    f = (s1 + h1 * np.arange(n1) - s0) / h0
+    k = np.rint(f)
+    return np.where((np.abs(f - k) <= 1e-9) & (k >= 0) & (k < n0), k, -1).astype(np.int64)
+
+
+def coincident_nodes(src: GridDomain, dst: GridDomain) -> np.ndarray:
+    """For each node of ``dst``, the flat index of the node of ``src`` at the
+    same chart point, or -1 where there is none.
+
+    A node coincides when its position, measured in the steps of ``src``,
+    is a whole index to within 1e-9 on both axes, so lattices with unequal
+    steps (``rectangle`` snaps each step to its own extent) are tested
+    rather than assumed to line up.  Lattices of different kinds, or polar
+    lattices about different centres, share no node.
+    """
+    if src.kind != dst.kind or (src.kind == "polar"
+                                and tuple(src.center) != tuple(dst.center)):
+        return np.full(dst.shape, -1, dtype=np.int64)
+    (a0, a1), (b0, b1) = _axes(src), _axes(dst)
+    J, I = np.meshgrid(_axis_map(a0, b0), _axis_map(a1, b1), indexing="ij")
+    return np.where((J >= 0) & (I >= 0), J * src.shape[1] + I, -1)
+
+
 @dataclass
 class ScalarGrid:
     """Node values over the carried nodes of a GridDomain (NaN elsewhere)."""
@@ -284,6 +325,30 @@ class ScalarGrid:
         """A ScalarField backed by bilinear sampling of this grid."""
         from .fields import ScalarField
         return ScalarField(fn=lambda x, y: self.sample(x, y))
+
+    def transfer(self, target: GridDomain) -> "ScalarGrid":
+        """These values carried onto the lattice ``target``.
+
+        A node of ``target`` that coincides with a node of this lattice (see
+        :func:`coincident_nodes`) copies its value exactly; any other
+        carried node interpolates bilinearly (cartesian lattices only).
+        Dirichlet data and bridge values come from ``target``: its boundary
+        nodes take its ``bdata`` and each bridge node the mean of its pair.
+        """
+        idx = coincident_nodes(self.domain, target)
+        vals = np.full(target.shape, np.nan)
+        hit = idx >= 0
+        vals[hit] = self.values.ravel()[idx[hit]]
+        rest = target.carried() & ~hit
+        if np.any(rest):
+            X, Y = target.coords()
+            vals[rest] = self.sample(X[rest], Y[rest])
+        bnd = target.status == BOUNDARY
+        vals[bnd] = target.bdata[bnd]
+        vals[~target.carried()] = np.nan
+        for p, (q1, q2) in target.bridges.items():
+            vals[p] = 0.5 * (vals[q1] + vals[q2])
+        return ScalarGrid(target, vals)
 
     def sample(self, x, y):
         """Bilinear interpolation on cartesian grids; NaN outside carried cells."""

@@ -13,7 +13,7 @@ import numpy as np
 from .fields import ScalarField, callable_field
 from .grids import GridDomain, ScalarGrid
 from .models import builtin_model
-from .solver import SolveConfig, SolveReport, check_max_principle, solve_dirichlet
+from .solver import SolveConfig, SolveReport, check_max_principle, exhaustion_solve
 
 _KINDS = ("phi1", "phi2", "phi3", "phi4", "phi5")
 
@@ -122,20 +122,22 @@ def strip_uniqueness_experiment(tau: float, w: float, n_list: Sequence[float],
     """Solve the zero-data strip truncations with clamp K and report the sup
     of |u| over the core |x| <= w, plus a barrier comparison.
 
+    The truncations run through :func:`exhaustion_solve`, and the core is
+    the part of its common core with |x| <= w (NaN where that is empty).
     The invariant graph shift + tau x (y + w), shifted up enough to dominate
     the clamped data, is an exact discrete solution; the comparison
     principle then bounds every run from above by it.
     """
     model = builtin_model("nil3", (tau,),
                           chart=None)
+    doms = [strip_truncation_domain(w, n, h, K) for n in n_list]
+    ex = exhaustion_solve(model, doms, config=config)
     runs: List[StripRun] = []
     barrier_ok = True
-    for n in n_list:
-        dom = strip_truncation_domain(w, n, h, K)
-        rep = solve_dirichlet(model, dom, config=config)
-        X, Y = dom.coords()
-        core = dom.carried() & (np.abs(X) <= w + 1e-12)
-        core_sup = float(np.max(np.abs(rep.u.values[core])))
+    for n, dom, rep, core in zip(n_list, doms, ex.reports, ex.core):
+        X, _ = dom.coords()
+        core = core[np.abs(X.ravel()[core]) <= w + 1e-12]
+        core_sup = float(np.max(np.abs(rep.u.values.ravel()[core]))) if core.size else float("nan")
         runs.append(StripRun(n=n, K=K, core_sup=core_sup, report=rep))
 
         shift = abs(K) + 2.0 * abs(tau) * n * w

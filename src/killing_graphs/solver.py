@@ -4,8 +4,24 @@ The Jacobian is the exact derivative of the flux-form residual.  When the
 backtracking search rejects a Newton step, or the Jacobian is singular, the
 same iteration ends with a Picard sweep (frozen area element): a rejected
 step would only be retried from the same iterate, with the same result.
-The initial iterate always comes from one Picard solve with the area
-element frozen at the zero-section value W0.
+
+The initial iterate (``SolveReport.start``) comes from one of three places:
+
+- ``given``: the caller's ``init``, such as a full solution carried onto
+  its punctured lattice by :meth:`ScalarGrid.transfer`;
+- ``coarse``: nested iteration.  A cartesian lattice with no excluded node,
+  even interval counts and at least ``2 * _MIN_COARSE_INTERVALS`` intervals
+  a side is first solved on the lattice of every other node (recursively),
+  and that converged solution is transferred back.  By mesh independence
+  (Allgower, Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 1986) the
+  fine lattice then needs a few full Newton steps and no damped phase;
+- ``picard``: everywhere else, or when the coarse solve did not converge,
+  one Picard solve with the area element frozen at the zero-section value
+  W0.
+
+A warm start (``given`` or ``coarse``) takes at least one Newton step
+before the tolerance test may stop it.  ``iterations`` counts the steps on
+this lattice; ``coarse_iterations`` lists those of the coarse levels.
 
 Each Newton or Picard matrix is LU-factored exactly once with SuperLU.
 Its pattern is the symmetric 5/9-point lattice stencil, so the columns are
@@ -26,20 +42,23 @@ The solve stops, with ``converged=True``, on either of two rules:
   Nonlinear Equations*, ch. 5 on stagnation).
 
 Otherwise it ends with ``converged=False`` and ``stop_reason``
-``max-iters`` (the iteration budget ran out) or ``singular`` (a Picard
-system could not be factored).
+``max-iters`` (the iteration budget ran out), ``singular`` (a Picard
+system could not be factored) or ``diverged``: the residual or the
+Jacobian is not finite, or max|u| has grown past ``_RUNAWAY`` times its
+starting scale 1 + max|u_0|, as it does on a problem with no solution.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grids import BOUNDARY, GridDomain, ScalarGrid
+from .grids import (BOUNDARY, BRIDGE, EXCLUDED, INTERIOR, GridDomain, ScalarGrid,
+                    coincident_nodes)
 from .models import MetricModel
 from .operator import AssemblyCache, nodal_rhs, raw_grid
 
@@ -60,8 +79,10 @@ class SolveReport:
     damping_history: List[float] = field(default_factory=list)
     picard_sweeps: int = 0
     message: str = ""
-    runtime: float = 0.0
-    stop_reason: str = ""      # tolerance | rounding-floor | max-iters | singular
+    runtime: float = 0.0       # seconds, coarse levels included
+    stop_reason: str = ""      # tolerance | rounding-floor | max-iters | singular | diverged
+    start: str = "picard"      # picard | coarse | given: where the first iterate came from
+    coarse_iterations: List[int] = field(default_factory=list)   # per coarse level, coarsest first
 
 
 # what a singular or non-finite linear system raises
@@ -71,6 +92,8 @@ _EPS = float(np.finfo(float).eps)
 _ARMIJO = 1e-4              # sufficient decrease of |F|^2 in the line search
 _MIN_STEP = 2.0 ** -20      # the line search rejects the step below this t
 _LINEAR_RTOL = 1e-12        # linear relative residual that triggers refinement
+_RUNAWAY = 1e6              # max|u| past this many times its starting scale is divergence
+_MIN_COARSE_INTERVALS = 32  # intervals per side that a coarse lattice keeps at least
 
 
 def _linear_solve(J, rhs, rtol):
@@ -105,6 +128,34 @@ def _picard_solve(cache: AssemblyCache, u_grid: np.ndarray, rhs: np.ndarray,
     return vec + delta
 
 
+def _coarse_domain(dom: GridDomain) -> Optional[GridDomain]:
+    """The lattice of every other node of ``dom``, with the steps doubled and
+    the bridges dropped; None where nested iteration does not apply: polar
+    lattices, lattices with an excluded node (masks), odd interval counts,
+    or a coarse lattice with fewer than ``_MIN_COARSE_INTERVALS`` intervals
+    on a side."""
+    n1, n0 = dom.shape
+    if (dom.kind != "cartesian" or np.any(dom.status == EXCLUDED)
+            or (n1 - 1) % 2 or (n0 - 1) % 2
+            or min(n1, n0) - 1 < 2 * _MIN_COARSE_INTERVALS):
+        return None
+    status = dom.status[::2, ::2].copy()
+    status[status == BRIDGE] = INTERIOR
+    return replace(dom, status=status, bdata=dom.bdata[::2, ::2].copy(),
+                   hx=2.0 * dom.hx, hy=2.0 * dom.hy, bridges={})
+
+
+def _runaway(vec: np.ndarray, F: np.ndarray, scale: float) -> str:
+    """Why the iterate counts as diverged, or "" while it does not."""
+    if not np.all(np.isfinite(F)):
+        return "non-finite residual"
+    top = float(np.max(np.abs(vec)))
+    if not top <= _RUNAWAY * scale:
+        return (f"iterate ran away: max|u| = {top:.3e} passed {_RUNAWAY:.0e} times "
+                f"its starting scale {scale:.3e}")
+    return ""
+
+
 def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
                     config: Optional[SolveConfig] = None,
                     init: Optional[ScalarGrid] = None,
@@ -112,12 +163,25 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
     """Solve the prescribed-mean-curvature Dirichlet problem on ``dom``.
 
     Newton iteration with backtracking line search and a Picard sweep in
-    place of a rejected step; the default initial iterate is one Picard
-    solve with the area element frozen at the zero-section value
-    W0 = sqrt(1 + mu^2 (a^2 + b^2)).
+    place of a rejected step.  The initial iterate is ``init`` (values on
+    this lattice; see :meth:`ScalarGrid.transfer`) when given; else, where
+    the lattice coarsens (see :func:`_coarse_domain`), the converged
+    solution of the same problem on the coarse lattice carried onto this
+    one; else one Picard solve with the area element frozen at the
+    zero-section value W0 = sqrt(1 + mu^2 (a^2 + b^2)).  A warm start takes
+    at least one Newton step.
     """
     t0 = time.perf_counter()
     cfg = config or SolveConfig()
+    start = "picard" if init is None else "given"
+    coarse_iterations: List[int] = []
+    coarse = _coarse_domain(dom) if init is None else None
+    if coarse is not None:
+        # called by its module name: each level is a solve_dirichlet call of its own
+        crep = solve_dirichlet(model, coarse, H=H, config=cfg)
+        coarse_iterations = crep.coarse_iterations + [crep.iterations]
+        if crep.converged:
+            init, start = crep.u.transfer(dom), "coarse"
     if cache is None:
         cache = AssemblyCache(model, dom)
     rhs = nodal_rhs(model, dom, H)
@@ -142,17 +206,24 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
     picard_sweeps = 0
     stop_reason = "singular" if singular_start else "max-iters"
     iters = 0
+    # a warm start skips the tolerance test before its first Newton step
+    first = 0 if start == "picard" else 1
     u = _full_grid(dom, vec, cache)
     F = cache.residual(u, rhs)
     fnorm = float(np.max(np.abs(F))) if F.size else 0.0
+    scale = 1.0 + float(np.nanmax(np.abs(u)))
+    diverged = _runaway(vec, F, scale)
 
-    while not singular_start and iters < cfg.max_iters:
-        if fnorm <= tol:
+    while not (singular_start or diverged) and iters < cfg.max_iters:
+        if fnorm <= tol and iters >= first:
             stop_reason = "tolerance"
             break
         iters += 1
+        J = cache.jacobian(u)
+        if not np.all(np.isfinite(J.data)):
+            diverged = "non-finite Jacobian"
+            break
         try:
-            J = cache.jacobian(u)
             delta = _linear_solve(J, -F, _LINEAR_RTOL)
         except _SINGULAR:
             delta = None
@@ -181,6 +252,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
                 vec, u, F = trial, u_try, F_try
                 fnorm = float(np.max(np.abs(F)))
                 damping.append(t)
+                diverged = _runaway(vec, F, scale)
                 continue
             damping.append(0.0)
 
@@ -196,12 +268,15 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
         u = _full_grid(dom, vec, cache)
         F = cache.residual(u, rhs)
         fnorm = float(np.max(np.abs(F)))
+        diverged = _runaway(vec, F, scale)
         if delta is None:
             message = "singular Jacobian; Picard fallback"
         else:
             message = "Picard fallback after a rejected Newton step"
 
-    if fnorm <= tol:
+    if diverged:
+        stop_reason, message = "diverged", diverged
+    elif fnorm <= tol:
         stop_reason = "tolerance"
     converged = stop_reason in ("tolerance", "rounding-floor")
     if stop_reason == "max-iters" and not message:
@@ -212,7 +287,8 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
                        residual_norm=fnorm, tolerance=tol,
                        damping_history=damping, picard_sweeps=picard_sweeps,
                        message=message, runtime=time.perf_counter() - t0,
-                       stop_reason=stop_reason)
+                       stop_reason=stop_reason, start=start,
+                       coarse_iterations=coarse_iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +298,20 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
 class ExhaustionReport:
     reports: List[SolveReport]
     cauchy: List[float]        # sup |u_n - u_{n-1}| over the common core, or NaN
+    core: List[np.ndarray]     # flat indices of the common core in each lattice, node-aligned
 
 
-def _common_value_map(dom: GridDomain, values: np.ndarray) -> dict:
-    X, Y = dom.coords()
-    m = dom.carried()
-    out = {}
-    for x, y, v in zip(X[m], Y[m], values[m]):
-        out[(round(float(x), 9), round(float(y), 9))] = float(v)
-    return out
+def _common_core(domains: Sequence[GridDomain]) -> List[np.ndarray]:
+    """Flat indices, in each domain's lattice, of the nodes that every
+    domain of the family carries (see :func:`coincident_nodes`), in the
+    node order of the first domain."""
+    first = domains[0]
+    maps = [coincident_nodes(dom, first).ravel() for dom in domains]
+    keep = first.carried().ravel()
+    for dom, idx in zip(domains, maps):
+        keep &= idx >= 0
+        keep[keep] = dom.carried().ravel()[idx[keep]]
+    return [idx[keep] for idx in maps]
 
 
 def exhaustion_solve(model: MetricModel, domains: Sequence[GridDomain], H=None,
@@ -242,24 +323,21 @@ def exhaustion_solve(model: MetricModel, domains: Sequence[GridDomain], H=None,
     family (the smallest truncation, for nested families): a fixed compact
     region, so successive changes measure genuine convergence rather than
     the moving artificial-boundary layers.  An entry is NaN when the core is
-    empty, or when either solve of its pair did not converge.
+    empty, or when either solve of its pair did not converge.  Each
+    truncation starts on its own (coarse or Picard), not from the previous
+    one: extended by the nearest value, that start took more Newton steps
+    than a cold one on clamped strips.
     """
-    reports = []
-    maps = []
-    for dom in domains:
-        rep = solve_dirichlet(model, dom, H=H, config=config)
-        reports.append(rep)
-        maps.append(_common_value_map(dom, rep.u.values))
-    core = set(maps[0].keys()) if maps else set()
-    for m in maps[1:]:
-        core &= m.keys()
+    reports = [solve_dirichlet(model, dom, H=H, config=config) for dom in domains]
+    core = _common_core(domains) if domains else []
     cauchy = []
-    for k, (prev, cur) in enumerate(zip(maps[:-1], maps[1:])):
-        if core and reports[k].converged and reports[k + 1].converged:
-            cauchy.append(max(abs(prev[n] - cur[n]) for n in core))
+    for k, (prev, cur) in enumerate(zip(reports[:-1], reports[1:])):
+        if core[0].size and prev.converged and cur.converged:
+            diff = prev.u.values.ravel()[core[k]] - cur.u.values.ravel()[core[k + 1]]
+            cauchy.append(float(np.max(np.abs(diff))))
         else:
             cauchy.append(float("nan"))
-    return ExhaustionReport(reports=reports, cauchy=cauchy)
+    return ExhaustionReport(reports=reports, cauchy=cauchy, core=core)
 
 
 # ---------------------------------------------------------------------------

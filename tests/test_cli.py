@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from killing_graphs import experiments, nil
+from killing_graphs import experiments, solver
 from killing_graphs.cli import _build_domain, _load_config, main
 from killing_graphs.solver import SolveConfig, solve_dirichlet
 
@@ -35,6 +35,22 @@ def test_solve_plane(tmp_path):
     assert max(resid) <= 1e-10
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["converged"] is True
+    assert report["start"] == "picard" and report["coarse_iterations"] == []
+
+
+def test_solve_report_records_the_coarse_start(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "model": {"preset": "nil3", "params": [0.5]},
+        "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 1 / 64},
+        "boundary": "sin(3*x)+x*y",
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["solve", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["converged"] is True and report["start"] == "coarse"
+    # the 1/16 and 1/32 levels; iterations counts the 1/64 level alone
+    assert len(report["coarse_iterations"]) == 2
+    assert 1 <= report["iterations"] <= min(report["coarse_iterations"])
 
 
 def test_solve_csv_round_trip_bit_exact(tmp_path):
@@ -139,12 +155,14 @@ def test_experiment_nil_strip(tmp_path):
     assert [r["n"] for r in rep["runs"]] == [2, 3]
     assert all(r["converged"] is True and r["stop_reason"] == "tolerance"
                for r in rep["runs"])
+    assert all(r["start"] == "picard" and r["coarse_iterations"] == [] for r in rep["runs"])
 
 
 def test_experiment_nil_strip_nonconvergence_exit_2(tmp_path, monkeypatch):
-    # one Newton step is too few for the clamped strip
-    monkeypatch.setattr(nil, "solve_dirichlet", lambda model, dom, config=None:
-                        solve_dirichlet(model, dom, config=SolveConfig(max_iters=1)))
+    # one Newton step is too few for the clamped strip; the truncations
+    # reach the solver through exhaustion_solve
+    monkeypatch.setattr(solver, "solve_dirichlet", lambda model, dom, H=None, config=None:
+                        solve_dirichlet(model, dom, H=H, config=SolveConfig(max_iters=1)))
     cfg = write_cfg(tmp_path, {
         "experiment": {"tau": 0.5, "half_width": 1.0, "n_list": [2, 3],
                        "K": 5.0, "h": 0.125},
@@ -193,9 +211,9 @@ def test_experiment_removable_honours_solver_section(tmp_path, case):
 def test_experiment_removable_solver_section_keeps_tight_tolerance(tmp_path, monkeypatch):
     seen = []
 
-    def spy(model, dom, H=None, config=None):
+    def spy(model, dom, H=None, config=None, init=None):
         seen.append(config)
-        return solve_dirichlet(model, dom, H=H, config=config)
+        return solve_dirichlet(model, dom, H=H, config=config, init=init)
 
     monkeypatch.setattr(experiments, "solve_dirichlet", spy)
     main(["experiment", "removable-singularity", "--config", removable_cfg(tmp_path, "disk")])
@@ -215,10 +233,15 @@ def test_experiment_removable_small(tmp_path):
         assert r["full_converged"] is True and r["punctured_converged"] is True
         assert r["full_stop_reason"] in ("tolerance", "rounding-floor")
         assert r["punctured_stop_reason"] in ("tolerance", "rounding-floor")
+        # masked lattices start from Picard; the punctured solve from the full one
+        assert r["full_start"] == "picard" and r["punctured_start"] == "given"
+        assert r["full_coarse_iterations"] == r["punctured_coarse_iterations"] == []
 
 
+@pytest.mark.filterwarnings("error")
 def test_experiment_removable_nonconvergence_exit_2(tmp_path):
-    # H too large for the square: no graph solution, so no solve converges
+    # H too large for the square: no graph solution, so no solve converges;
+    # both iterates run away and stop as diverged before anything overflows
     cfg = write_cfg(tmp_path, {
         "model": {"preset": "euclidean"},
         "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
@@ -231,7 +254,7 @@ def test_experiment_removable_nonconvergence_exit_2(tmp_path):
     rep = json.loads((tmp_path / "out" / "removable_singularity.json").read_text())
     run, = rep["runs"]
     assert run["full_converged"] is False and run["punctured_converged"] is False
-    assert run["full_stop_reason"] == run["punctured_stop_reason"] == "max-iters"
+    assert run["full_stop_reason"] == run["punctured_stop_reason"] == "diverged"
 
 
 def test_experiment_sol3_wedge(tmp_path):

@@ -50,6 +50,7 @@ def test_sol3_puncture_invisible():
     run = rep.runs[0]
     assert run.full_converged and run.punctured_converged
     assert run.full_stop_reason == run.punctured_stop_reason == "rounding-floor"
+    assert run.full_start == "picard" and run.punctured_start == "given"
 
 
 def test_custom_experiment_runner():

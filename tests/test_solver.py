@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 import scipy.sparse.linalg as spla
 
 from killing_graphs import solver
-from killing_graphs.grids import GridDomain, ScalarGrid
+from killing_graphs.grids import GridDomain, ScalarGrid, coincident_nodes
 from killing_graphs.models import builtin_model
 from killing_graphs.operator import AssemblyCache
 from killing_graphs.solver import (SolveConfig, check_max_principle,
@@ -104,15 +105,45 @@ def test_nonconvergence_reported():
     assert rep.message != ""
 
 
-def test_rejected_step_ends_its_iteration_with_a_picard_sweep():
-    # no solution exists, so the line search keeps rejecting steps; each
+def test_rejected_step_ends_its_iteration_with_a_picard_sweep(monkeypatch):
+    # a line-search floor above t = 1 rejects every Newton step; each
     # rejection is followed by a sweep in the same iteration, not retried
-    m = builtin_model("euclidean")
-    dom = GridDomain.rectangle(-1, 1, -1, 1, 1 / 8)
-    rep = solve_dirichlet(m, dom, H="5.0", config=SolveConfig(max_iters=8))
+    monkeypatch.setattr(solver, "_MIN_STEP", 2.0)
+    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip(),
+                          config=SolveConfig(max_iters=8))
     assert not rep.converged and rep.stop_reason == "max-iters"
     assert rep.damping_history.count(0.0) > 1
     assert rep.picard_sweeps == rep.damping_history.count(0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h", [1 / 4, 1 / 8])
+@pytest.mark.parametrize("punctured", [False, True])
+def test_unsolvable_problem_stops_as_diverged(h, punctured):
+    # H = 5 has no graph over the square: the iterate runs away, and the
+    # solve says so within a few iterations, before anything overflows
+    dom = GridDomain.rectangle(-1, 1, -1, 1, h)
+    if punctured:
+        dom = dom.with_puncture(dom.nearest_node((0.25, 0.25)))
+    rep = solve_dirichlet(builtin_model("euclidean"), dom, H="5.0",
+                          config=SolveConfig(tol_factor=1e-13))
+    assert not rep.converged and rep.stop_reason == "diverged"
+    assert 1 <= rep.iterations <= 5 and "ran away" in rep.message
+
+
+def test_non_finite_jacobian_stops_as_diverged(monkeypatch):
+    jacobian = AssemblyCache.jacobian
+
+    def inf_newton_jacobian(self, u_grid, frozen_W=None):
+        J = jacobian(self, u_grid, frozen_W=frozen_W)
+        if frozen_W is None:
+            J.data[0] = np.inf
+        return J
+
+    monkeypatch.setattr(AssemblyCache, "jacobian", inf_newton_jacobian)
+    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip())
+    assert not rep.converged and rep.stop_reason == "diverged"
+    assert rep.iterations == 1 and rep.message == "non-finite Jacobian"
 
 
 # -- comparison principle -------------------------------------------------------------
@@ -198,6 +229,148 @@ def test_exhaustion_cauchy_nan_without_convergence():
     ex = exhaustion_solve(m, doms, config=SolveConfig(max_iters=1))
     assert not any(rep.converged for rep in ex.reports)
     assert len(ex.cauchy) == 2 and all(np.isnan(c) for c in ex.cauchy)
+
+
+def _rounded_coordinate_cauchy(ex, domains):
+    """The Cauchy monitor by the former rule: a dict of carried-node values
+    keyed by coordinates rounded to 9 decimals, and the common keys."""
+    maps = []
+    for dom, rep in zip(domains, ex.reports):
+        X, Y = dom.coords()
+        m = dom.carried()
+        maps.append({(round(float(x), 9), round(float(y), 9)): float(v)
+                     for x, y, v in zip(X[m], Y[m], rep.u.values[m])})
+    core = set(maps[0])
+    for m in maps[1:]:
+        core &= m.keys()
+    return len(core), [max(abs(a[n] - b[n]) for n in core) for a, b in zip(maps, maps[1:])]
+
+
+def _sin_rectangle(n):
+    return GridDomain.rectangle(-n, n, -1, 1, 1 / 8, boundary={
+        "bottom": lambda x, y: np.sin(x), "top": lambda x, y: np.sin(x),
+        "left": float(np.sin(-n)), "right": float(np.sin(n))})
+
+
+@pytest.mark.parametrize("model, domains", [
+    (("nil3", (0.5,)), [strip_truncation_domain(1.0, n, 1 / 16, K=0.0) for n in (2, 3, 4)]),
+    (("nil3", (0.5,)), [strip_truncation_domain(1.0, n, 1 / 16, K=5.0) for n in (2, 3, 4, 5)]),
+    (("euclidean", ()), [_sin_rectangle(n) for n in (2, 3, 4, 5, 6)]),
+])
+def test_exhaustion_core_from_indices_matches_rounded_coordinates(model, domains):
+    ex = exhaustion_solve(builtin_model(*model), domains)
+    n_core, cauchy = _rounded_coordinate_cauchy(ex, domains)
+    assert all(c.size == n_core for c in ex.core)
+    assert ex.cauchy == cauchy
+
+
+def test_unequal_snapped_steps_share_no_node():
+    # rectangle snaps each step to its extent: h = 0.3 gives 2/7 on [-1, 1]
+    # and 4/13 on [-2, 2], whose x nodes never meet
+    a = GridDomain.rectangle(-1, 1, -1, 1, 0.3)
+    b = GridDomain.rectangle(-2, 2, -1, 1, 0.3)
+    assert np.all(coincident_nodes(a, b) == -1)
+    c = GridDomain.rectangle(-2, 2, -1, 1, 1 / 4)
+    d = GridDomain.rectangle(-1, 1, -1, 1, 1 / 4)
+    idx = coincident_nodes(c, d)
+    X, Y = c.coords()
+    Xd, Yd = d.coords()
+    assert np.all(idx >= 0)
+    np.testing.assert_array_equal(X.ravel()[idx], Xd)
+    np.testing.assert_array_equal(Y.ravel()[idx], Yd)
+    # polar lattices match in (theta, r), and only about the same centre
+    wide, narrow = GridDomain.annulus(1, 3, 16, 16), GridDomain.annulus(1, 2, 8, 16)
+    np.testing.assert_array_equal(coincident_nodes(wide, narrow) % 17,
+                                  np.broadcast_to(np.arange(9), (16, 9)))
+    moved = GridDomain.annulus(1, 2, 8, 16, center=(0.5, 0.0))
+    assert np.all(coincident_nodes(wide, moved) == -1)
+
+
+# -- nested iteration and warm starts --------------------------------------------------
+
+def test_transfer_copies_coincident_nodes_and_interpolates_the_rest():
+    rng = np.random.default_rng(7)
+    coarse = GridDomain.rectangle(-1, 1, -1, 1, 1 / 4)
+    src = ScalarGrid(coarse, rng.uniform(-1, 1, coarse.shape))
+    fine = GridDomain.rectangle(-1, 1, -1, 1, 1 / 8, boundary=lambda x, y: 3.0 + x * y)
+    out = src.transfer(fine)
+    c, v = src.values, out.values
+    inter = fine.interior_mask()
+    # coincident nodes: the same bits
+    np.testing.assert_array_equal(v[::2, ::2][inter[::2, ::2]], c[inter[::2, ::2]])
+    # midpoints: the bilinear means of their two or four coarse neighbours
+    edge_x = 0.5 * (c[:, :-1] + c[:, 1:])
+    edge_y = 0.5 * (c[:-1, :] + c[1:, :])
+    centre = 0.25 * (c[:-1, :-1] + c[:-1, 1:] + c[1:, :-1] + c[1:, 1:])
+    for got, want, where in ((v[::2, 1::2], edge_x, inter[::2, 1::2]),
+                             (v[1::2, ::2], edge_y, inter[1::2, ::2]),
+                             (v[1::2, 1::2], centre, inter[1::2, 1::2])):
+        np.testing.assert_allclose(got[where], want[where], rtol=0, atol=1e-15)
+    # boundary nodes: the target's Dirichlet data, not the source values
+    bnd = fine.status == 1
+    np.testing.assert_array_equal(v[bnd], fine.bdata[bnd])
+    # a bridge node: the mean of its pair on the target
+    node = fine.nearest_node((0.25, 0.25))
+    punct = fine.with_puncture(node)
+    (q1, q2), = [punct.bridges[node]]
+    w = src.transfer(punct).values
+    assert w[node] == 0.5 * (w[q1] + w[q2])
+
+
+def test_odd_interval_count_is_not_coarsened():
+    odd = GridDomain.rectangle(0, 129 / 128, 0, 1, 1 / 128)
+    assert odd.shape == (129, 130)
+    assert solver._coarse_domain(odd) is None
+    rep = solve_dirichlet(builtin_model("euclidean"), odd,
+                          config=SolveConfig(max_iters=0))
+    assert rep.start == "picard" and rep.coarse_iterations == []
+    # masked and polar lattices keep the Picard start too
+    assert solver._coarse_domain(GridDomain.masked(
+        -1, 1, -1, 1, 1 / 64, keep=lambda x, y: x * x + y * y <= 1)) is None
+    assert solver._coarse_domain(GridDomain.annulus(1, 2, 128, 128)) is None
+    # the even lattice halves down to 32 intervals a side, bridges dropped
+    even = GridDomain.rectangle(0, 1, 0, 1, 1 / 128)
+    even = even.with_puncture(even.nearest_node((0.5, 0.5)))
+    c = solver._coarse_domain(even)
+    assert c.shape == (65, 65) and c.hx == 2 * even.hx and c.bridges == {}
+    assert np.all(c.status[1:-1, 1:-1] == 0)
+    np.testing.assert_array_equal(c.bdata, even.bdata[::2, ::2])
+    assert solver._coarse_domain(c) is not None
+    assert solver._coarse_domain(solver._coarse_domain(c)) is None
+
+
+def test_nested_solve_matches_cold_solve(monkeypatch):
+    m = builtin_model("nil3", (0.5,))
+    dom = GridDomain.rectangle(-1, 1, -1, 1, 1 / 64,
+                               boundary=lambda x, y: np.sin(3 * x) + x * y)
+    nested = solve_dirichlet(m, dom)
+    assert nested.converged and nested.start == "coarse"
+    assert len(nested.coarse_iterations) == 2 and min(nested.coarse_iterations) >= 1
+    monkeypatch.setattr(solver, "_MIN_COARSE_INTERVALS", 10 ** 9)
+    cold = solve_dirichlet(m, dom)
+    assert cold.converged and cold.start == "picard" and cold.coarse_iterations == []
+    assert nested.iterations < cold.iterations
+    inter = dom.interior_mask()
+    diff = np.max(np.abs(nested.u.values[inter] - cold.u.values[inter]))
+    assert diff <= 10 * nested.tolerance
+
+
+def test_failed_coarse_solve_falls_back_to_picard(monkeypatch):
+    monkeypatch.setattr(solver, "_MIN_COARSE_INTERVALS", 4)
+    dom = _clamped_strip()
+    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), dom,
+                          config=SolveConfig(max_iters=1))
+    # the 8 x 4, 16 x 8 and 32 x 16 levels stop after one step, unconverged
+    assert rep.coarse_iterations == [1, 1, 1] and rep.start == "picard"
+
+
+def test_converged_init_still_takes_a_newton_step():
+    m = builtin_model("nil3", (0.5,))
+    done = solve_dirichlet(m, _clamped_strip())
+    assert done.converged and done.residual_norm <= done.tolerance
+    rep = solve_dirichlet(m, _clamped_strip(), init=done.u)
+    assert rep.start == "given" and rep.converged
+    assert rep.iterations >= 1 and len(rep.damping_history) >= 1
 
 
 # -- linear-solve layer ------------------------------------------------------------------
