@@ -199,6 +199,8 @@ def cmd_solve(cfg: dict, args) -> int:
         "residual_norm": rep.residual_norm,
         "tolerance": rep.tolerance,
         "picard_sweeps": rep.picard_sweeps,
+        "factorizations": rep.factorizations,
+        "krylov_iterations": rep.krylov_iterations,
         "damping_history": rep.damping_history,
         "message": rep.message,
         "runtime_seconds": rep.runtime,

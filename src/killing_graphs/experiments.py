@@ -57,6 +57,8 @@ def removable_singularity_experiment(model: MetricModel,
     A tight solver tolerance keeps the Newton stopping error well below the
     puncture effect being measured.  The punctured solve starts from the
     full solution, carried onto the punctured lattice, when that converged.
+    A difference is NaN when either solve of its run did not converge, and
+    ``monotone_decay`` is then false.
     """
     cfg = config or SolveConfig(tol_factor=_TOL_FACTOR)
     runs: List[PunctureRun] = []
@@ -69,7 +71,9 @@ def removable_singularity_experiment(model: MetricModel,
         rep_p = solve_dirichlet(model, dom_p, H=H, config=cfg, init=init)
         mask = dom.carried().copy()
         mask[node] = False
-        diff = float(np.max(np.abs(rep_full.u.values[mask] - rep_p.u.values[mask])))
+        diff = float("nan")
+        if rep_full.converged and rep_p.converged:
+            diff = float(np.max(np.abs(rep_full.u.values[mask] - rep_p.u.values[mask])))
         runs.append(PunctureRun(h=h, node=node, max_difference=diff,
                                 full_iterations=rep_full.iterations,
                                 punctured_iterations=rep_p.iterations,
@@ -81,7 +85,8 @@ def removable_singularity_experiment(model: MetricModel,
                                 full_coarse_iterations=rep_full.coarse_iterations,
                                 punctured_coarse_iterations=rep_p.coarse_iterations))
     diffs = [r.max_difference for r in runs]
-    monotone = all(b < a for a, b in zip(diffs[:-1], diffs[1:]))
+    monotone = (all(np.isfinite(diffs))
+                and all(b < a for a, b in zip(diffs[:-1], diffs[1:])))
     return RemovableSingularityReport(runs=runs, monotone_decay=monotone)
 
 

@@ -23,14 +23,23 @@ A warm start (``given`` or ``coarse``) takes at least one Newton step
 before the tolerance test may stop it.  ``iterations`` counts the steps on
 this lattice; ``coarse_iterations`` lists those of the coarse levels.
 
-Each Newton or Picard matrix is LU-factored exactly once with SuperLU.
+Linear systems are solved by inexact Newton-Krylov with a direct-factor
+preconditioner (Knoll & Keyes, J. Comput. Phys. 2004; Kelley, *Iterative
+Methods for Linear and Nonlinear Equations*, ch. 6).  Each solve holds the
+LU of the last Newton Jacobian it factored on its lattice.  A later Newton
+system is solved by one cycle of right-preconditioned GMRES on that LU, and
+the step is kept when ``|J delta + F| <= _FORCING |F|`` holds when
+recomputed.  Otherwise the held LU is dropped and the Jacobian is factored
+and solved directly, and its LU is held instead.  So a lattice makes one
+factorization when GMRES keeps meeting the bound.  Picard matrices are
+factored and solved directly, and their LU is never held: a frozen-W LU
+preconditions a Newton system poorly.  Every factorization is SuperLU's.
 Its pattern is the symmetric 5/9-point lattice stencil, so the columns are
 ordered by multiple minimum degree on A^T + A (``MMD_AT_PLUS_A``; Liu,
 ACM TOMS 1985; Davis, *Direct Methods for Sparse Linear Systems*, ch. 7),
-which fills far less than the unsymmetric COLAMD ordering.  The one step of
-iterative refinement taken when the linear relative residual exceeds
-``_LINEAR_RTOL`` reuses those factors.  The factors live only for the
-duration of one linear solve.
+which fills far less than the unsymmetric COLAMD ordering.  A direct solve
+takes one step of iterative refinement on the same factors when its linear
+relative residual exceeds ``_LINEAR_RTOL``.
 
 The solve stops, with ``converged=True``, on either of two rules:
 
@@ -83,6 +92,8 @@ class SolveReport:
     stop_reason: str = ""      # tolerance | rounding-floor | max-iters | singular | diverged
     start: str = "picard"      # picard | coarse | given: where the first iterate came from
     coarse_iterations: List[int] = field(default_factory=list)   # per coarse level, coarsest first
+    factorizations: int = 0    # LU factorizations on this lattice, Picard matrices included
+    krylov_iterations: int = 0  # GMRES iterations on this lattice
 
 
 # what a singular or non-finite linear system raises
@@ -94,21 +105,61 @@ _MIN_STEP = 2.0 ** -20      # the line search rejects the step below this t
 _LINEAR_RTOL = 1e-12        # linear relative residual that triggers refinement
 _RUNAWAY = 1e6              # max|u| past this many times its starting scale is divergence
 _MIN_COARSE_INTERVALS = 32  # intervals per side that a coarse lattice keeps at least
+_FORCING = 1e-6             # linear relative residual a GMRES step must reach
+_KRYLOV_MAX = 30            # GMRES iterations (one cycle) before the Jacobian is refactored
 
 
-def _linear_solve(J, rhs, rtol):
-    # splu raises RuntimeError on an exactly singular factor
-    lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    delta = lu.solve(rhs)
-    if not np.all(np.isfinite(delta)):
-        raise np.linalg.LinAlgError("singular Jacobian")
-    nr = np.linalg.norm(rhs)
-    if nr > 0:
-        res = np.linalg.norm(J @ delta - rhs) / nr
-        if res > rtol:
+class _LinearSolves:
+    """The linear algebra of one lattice: the LU of the last Newton Jacobian
+    factored on it, and the count of factorizations and GMRES iterations."""
+
+    def __init__(self):
+        self.lu = None
+        self.factorizations = 0
+        self.krylov_iterations = 0
+
+    def solve(self, J, rhs, newton: bool) -> np.ndarray:
+        """delta with J delta = rhs.  A Newton system tries GMRES on the held
+        LU first; a Picard system, or a Newton one that GMRES leaves above
+        the forcing bound, is factored and solved directly."""
+        if newton:
+            # _KRYLOV_MAX = 0 leaves the direct path alone
+            if self.lu is not None and _KRYLOV_MAX:
+                delta = self._krylov(J, rhs)
+                if delta is not None:
+                    return delta
+            # dropped before the new factors exist, so one LU is held at a time
+            self.lu = None
+        # splu raises RuntimeError on an exactly singular factor
+        lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self.factorizations += 1
+        delta = lu.solve(rhs)
+        if not np.all(np.isfinite(delta)):
+            raise np.linalg.LinAlgError("singular Jacobian")
+        nr = np.linalg.norm(rhs)
+        if nr > 0 and np.linalg.norm(J @ delta - rhs) / nr > _LINEAR_RTOL:
             # one step of iterative refinement on the same factors
             delta = delta + lu.solve(rhs - J @ delta)
-    return delta
+        if newton:
+            self.lu = lu
+        return delta
+
+    def _krylov(self, J, rhs) -> Optional[np.ndarray]:
+        """One cycle of GMRES on J M^-1 y = rhs, delta = M^-1 y with M the held
+        LU, so that GMRES minimises the true residual; None unless delta is
+        finite and meets the forcing bound.  gmres's ``info`` is not read:
+        the bound is checked on the recomputed residual."""
+        lu = self.lu
+        op = spla.LinearOperator(J.shape, matvec=lambda v: J @ lu.solve(v), dtype=float)
+        residuals = []      # one per GMRES iteration
+        y, _ = spla.gmres(op, rhs, rtol=_FORCING, restart=_KRYLOV_MAX, maxiter=1,
+                          callback=residuals.append, callback_type="pr_norm")
+        self.krylov_iterations += len(residuals)
+        delta = lu.solve(y)
+        if (np.all(np.isfinite(delta))
+                and np.linalg.norm(J @ delta - rhs) <= _FORCING * np.linalg.norm(rhs)):
+            return delta
+        return None
 
 
 def _full_grid(dom: GridDomain, interior_vec, cache: AssemblyCache) -> np.ndarray:
@@ -119,12 +170,12 @@ def _full_grid(dom: GridDomain, interior_vec, cache: AssemblyCache) -> np.ndarra
 
 
 def _picard_solve(cache: AssemblyCache, u_grid: np.ndarray, rhs: np.ndarray,
-                  frozen_W: list) -> np.ndarray:
-    """Solve the affine frozen-coefficient system exactly (one linear solve)."""
+                  frozen_W: list, linear: _LinearSolves) -> np.ndarray:
+    """Solve the affine frozen-coefficient system exactly (one direct solve)."""
     J = cache.jacobian(u_grid, frozen_W=frozen_W)
     vec = u_grid.ravel()[cache.flat_unknown].copy()
     F = cache.residual(u_grid, rhs, frozen_W=frozen_W)
-    delta = _linear_solve(J, -F, _LINEAR_RTOL)
+    delta = linear.solve(J, -F, newton=False)
     return vec + delta
 
 
@@ -187,6 +238,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
     rhs = nodal_rhs(model, dom, H)
     tol = cfg.tol_factor * (1.0 + float(np.max(np.abs(rhs[dom.carried()]))))
 
+    linear = _LinearSolves()
     message = ""
     singular_start = False
     if init is not None:
@@ -196,7 +248,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
         zeros_everywhere = np.where(dom.carried(), 0.0, np.nan)
         W0 = cache.frozen_W(zeros_everywhere)
         try:
-            vec = _picard_solve(cache, zero_grid, rhs, W0)
+            vec = _picard_solve(cache, zero_grid, rhs, W0, linear)
         except _SINGULAR:
             vec = np.zeros(cache.n_unknowns)
             singular_start = True
@@ -224,7 +276,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
             diverged = "non-finite Jacobian"
             break
         try:
-            delta = _linear_solve(J, -F, _LINEAR_RTOL)
+            delta = linear.solve(J, -F, newton=True)
         except _SINGULAR:
             delta = None
 
@@ -258,7 +310,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
 
         # Picard sweep: after a singular Jacobian or a rejected Newton step
         try:
-            vec = _picard_solve(cache, u, rhs, cache.frozen_W(u))
+            vec = _picard_solve(cache, u, rhs, cache.frozen_W(u), linear)
         except _SINGULAR:
             after = "a singular Jacobian" if delta is None else "a rejected Newton step"
             message = f"singular Picard system in the fallback after {after}"
@@ -288,7 +340,9 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
                        damping_history=damping, picard_sweeps=picard_sweeps,
                        message=message, runtime=time.perf_counter() - t0,
                        stop_reason=stop_reason, start=start,
-                       coarse_iterations=coarse_iterations)
+                       coarse_iterations=coarse_iterations,
+                       factorizations=linear.factorizations,
+                       krylov_iterations=linear.krylov_iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from killing_graphs import experiments, solver
 from killing_graphs.cli import _build_domain, _load_config, main
+from killing_graphs.models import builtin_model
 from killing_graphs.solver import SolveConfig, solve_dirichlet
 
 
@@ -51,6 +52,28 @@ def test_solve_report_records_the_coarse_start(tmp_path):
     # the 1/16 and 1/32 levels; iterations counts the 1/64 level alone
     assert len(report["coarse_iterations"]) == 2
     assert 1 <= report["iterations"] <= min(report["coarse_iterations"])
+
+
+def test_solve_report_records_the_linear_algebra(tmp_path):
+    # the clamped strip: a Picard start, then Newton steps on one held LU
+    # with a refactor wherever GMRES misses its bound
+    cfg = write_cfg(tmp_path, {
+        "model": {"preset": "nil3", "params": [0.5]},
+        "domain": {"shape": "strip", "half_width": 1.0, "length": 2.0, "h": 1 / 16},
+        "boundary": {"left": 5.0, "right": 5.0, "bottom": "0", "top": "0"},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["solve", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _build_domain(_load_config(cfg)))
+    assert report["start"] == "picard" and report["iterations"] == rep.iterations
+    assert report["factorizations"] == rep.factorizations
+    assert report["krylov_iterations"] == rep.krylov_iterations
+    # the Picard matrix and the first Newton Jacobian at least, and fewer
+    # factorizations than matrices; at most _KRYLOV_MAX GMRES iterations
+    # per Newton step after the first
+    assert 2 <= report["factorizations"] < 1 + report["iterations"]
+    assert 1 <= report["krylov_iterations"] <= solver._KRYLOV_MAX * (report["iterations"] - 1)
 
 
 def test_solve_csv_round_trip_bit_exact(tmp_path):
@@ -255,6 +278,9 @@ def test_experiment_removable_nonconvergence_exit_2(tmp_path):
     run, = rep["runs"]
     assert run["full_converged"] is False and run["punctured_converged"] is False
     assert run["full_stop_reason"] == run["punctured_stop_reason"] == "diverged"
+    # no difference is measured between solves that did not converge
+    assert np.isnan(rep["differences"][0])
+    assert rep["monotone_decay"] is False
 
 
 def test_experiment_sol3_wedge(tmp_path):

@@ -381,52 +381,132 @@ def _clamped_strip():
 
 
 class _CountingLU:
-    def __init__(self, lu, counts):
-        self._lu, self._counts = lu, counts
+    def __init__(self, lu, counts, kind):
+        self._lu, self._counts, self.kind = lu, counts, kind
 
     def solve(self, rhs):
-        self._counts["lu_solves"] += 1
+        if self._counts["in_gmres"]:
+            self._counts["gmres_preconditioners"].append(self.kind)
+        else:
+            self._counts["lu_solves"] += 1
         return self._lu.solve(rhs)
 
 
 def _count_linear_algebra(monkeypatch):
-    """Count factorizations, triangular solves and assembled matrices, and
-    record the column ordering each factorization asks for."""
-    counts = {"splu": 0, "spsolve": 0, "lu_solves": 0, "matrices": 0, "permc_spec": []}
-    splu, spsolve, jacobian = spla.splu, spla.spsolve, AssemblyCache.jacobian
+    """Count factorizations, triangular solves, GMRES calls and assembled
+    matrices; record the column ordering each factorization asks for, the
+    sequence of events, and the kind of matrix ("newton" or "picard") whose
+    LU each triangular solve inside GMRES used."""
+    counts = {"splu": 0, "spsolve": 0, "gmres": 0, "lu_solves": 0, "matrices": 0,
+              "permc_spec": [], "events": [], "in_gmres": False,
+              "gmres_preconditioners": []}
+    splu, spsolve, gmres, jacobian = spla.splu, spla.spsolve, spla.gmres, AssemblyCache.jacobian
 
     def counting_splu(*args, **kwargs):
         counts["splu"] += 1
         counts["permc_spec"].append(kwargs.get("permc_spec"))
-        return _CountingLU(splu(*args, **kwargs), counts)
+        counts["events"].append("splu")
+        # the LU is of the matrix assembled last
+        kind = next(e for e in reversed(counts["events"]) if e in ("newton", "picard"))
+        return _CountingLU(splu(*args, **kwargs), counts, kind)
 
     def counting_spsolve(*args, **kwargs):
         counts["spsolve"] += 1
         return spsolve(*args, **kwargs)
 
+    def counting_gmres(*args, **kwargs):
+        counts["gmres"] += 1
+        counts["events"].append("gmres")
+        counts["in_gmres"] = True
+        try:
+            return gmres(*args, **kwargs)
+        finally:
+            counts["in_gmres"] = False
+
     def counting_jacobian(self, *args, **kwargs):
         counts["matrices"] += 1
+        counts["events"].append("newton" if kwargs.get("frozen_W") is None else "picard")
         return jacobian(self, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(spla, "spsolve", counting_spsolve)
+    monkeypatch.setattr(spla, "gmres", counting_gmres)
     monkeypatch.setattr(AssemblyCache, "jacobian", counting_jacobian)
     return counts
 
 
-def test_each_linear_system_factored_once(monkeypatch):
-    # _LINEAR_RTOL = 0 forces the refinement step on every system
+def _solves_per_matrix(events):
+    """The linear-algebra events after each assembled matrix, as a string
+    per matrix: "picard:splu", "newton:gmres", "newton:gmres,splu", ..."""
+    out = []
+    for e in events:
+        if e in ("newton", "picard"):
+            out.append([e])
+        else:
+            out[-1].append(e)
+    return [f"{m[0]}:{','.join(m[1:])}" for m in out]
+
+
+def test_one_factorization_per_lattice_plus_picard_and_refactors(monkeypatch):
+    # _LINEAR_RTOL = 0 forces the refinement step on every direct solve
     monkeypatch.setattr(solver, "_LINEAR_RTOL", 0.0)
     counts = _count_linear_algebra(monkeypatch)
     rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip())
     assert rep.converged and rep.iterations >= 3
     # one Picard matrix for the initial iterate, one Jacobian per Newton step
     assert counts["matrices"] == 1 + rep.iterations + rep.picard_sweeps
-    assert counts["splu"] == counts["matrices"]
+    per_matrix = _solves_per_matrix(counts["events"])
+    # every Picard matrix is factored and solved directly; the first Newton
+    # Jacobian is factored, and each later one goes to GMRES first and is
+    # factored only when GMRES misses the forcing bound
+    newton = [m for m in per_matrix if m.startswith("newton")]
+    assert all(m == "picard:splu" for m in per_matrix if m.startswith("picard"))
+    assert newton[0] == "newton:splu"
+    assert all(m in ("newton:gmres", "newton:gmres,splu") for m in newton[1:])
+    refactors = newton.count("newton:gmres,splu")
+    assert counts["splu"] == rep.factorizations == 1 + rep.picard_sweeps + 1 + refactors
+    assert counts["splu"] < counts["matrices"] and "newton:gmres" in newton
     assert counts["spsolve"] == 0
-    assert counts["lu_solves"] == 2 * counts["splu"]
+    # the refinement reuses the factors: two triangular solves per direct
+    # solve, and one more that maps each GMRES solution back
+    assert counts["lu_solves"] == 2 * counts["splu"] + counts["gmres"]
     # the symmetric 5/9-point pattern is ordered by minimum degree on A^T + A
     assert counts["permc_spec"] == ["MMD_AT_PLUS_A"] * counts["splu"]
+
+
+@pytest.mark.parametrize("min_step", [None, 2.0])
+def test_picard_lu_never_preconditions_a_newton_step(monkeypatch, min_step):
+    # the Picard start comes first; a line-search floor above t = 1 also puts a
+    # Picard sweep between every two Newton steps
+    if min_step is not None:
+        monkeypatch.setattr(solver, "_MIN_STEP", min_step)
+    counts = _count_linear_algebra(monkeypatch)
+    rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip(),
+                          config=SolveConfig(max_iters=8))
+    assert rep.start == "picard" and counts["gmres"] >= 1
+    assert (rep.picard_sweeps >= 1) == (min_step is not None)
+    assert counts["gmres_preconditioners"]
+    assert set(counts["gmres_preconditioners"]) == {"newton"}
+    assert _solves_per_matrix(counts["events"])[1] == "newton:splu"
+
+
+@pytest.mark.parametrize("dom", [
+    GridDomain.rectangle(-1, 1, -1, 1, 1 / 64, boundary=lambda x, y: np.sin(3 * x) + x * y),
+    _clamped_strip(),
+], ids=["nil3-sin3x", "clamped-strip"])
+def test_krylov_solve_matches_all_direct_path(monkeypatch, dom):
+    m = builtin_model("nil3", (0.5,))
+    krylov = solve_dirichlet(m, dom)
+    monkeypatch.setattr(solver, "_KRYLOV_MAX", 0)
+    direct = solve_dirichlet(m, dom)
+    assert krylov.converged and direct.converged
+    assert krylov.iterations == direct.iterations
+    assert krylov.coarse_iterations == direct.coarse_iterations
+    assert krylov.krylov_iterations > 0 and direct.krylov_iterations == 0
+    assert krylov.factorizations < direct.factorizations
+    inter = dom.interior_mask()
+    diff = np.max(np.abs(krylov.u.values[inter] - direct.u.values[inter]))
+    assert diff <= 10 * krylov.tolerance
 
 
 def _two_spsolve_linear_solve(J, rhs, rtol):
@@ -441,10 +521,13 @@ def _two_spsolve_linear_solve(J, rhs, rtol):
 
 
 def test_factor_reuse_matches_two_spsolve_path(monkeypatch):
+    # the direct path alone (no GMRES), with refinement on every system
     m = builtin_model("nil3", (0.5,))
+    monkeypatch.setattr(solver, "_KRYLOV_MAX", 0)
     monkeypatch.setattr(solver, "_LINEAR_RTOL", 0.0)
     rep = solve_dirichlet(m, _clamped_strip())
-    monkeypatch.setattr(solver, "_linear_solve", _two_spsolve_linear_solve)
+    monkeypatch.setattr(solver._LinearSolves, "solve",
+                        lambda self, J, rhs, newton: _two_spsolve_linear_solve(J, rhs, 0.0))
     ref = solve_dirichlet(m, _clamped_strip())
     assert rep.converged and ref.converged
     assert rep.iterations == ref.iterations
@@ -527,13 +610,13 @@ def test_max_iters_stop_reason():
 def test_rounding_size_step_far_above_floor_does_not_stop(monkeypatch):
     # every linear solve returns a step of rounding size, while the residual
     # of the (near-zero) iterate stays far above its rounding floor
-    linear_solve = solver._linear_solve
+    linear_solve = solver._LinearSolves.solve
 
-    def tiny_step(J, rhs, rtol):
-        delta = linear_solve(J, rhs, rtol)
+    def tiny_step(self, J, rhs, newton):
+        delta = linear_solve(self, J, rhs, newton)
         return delta * (1e-3 * np.finfo(float).eps / np.max(np.abs(delta)))
 
-    monkeypatch.setattr(solver, "_linear_solve", tiny_step)
+    monkeypatch.setattr(solver._LinearSolves, "solve", tiny_step)
     rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip(),
                           config=SolveConfig(max_iters=2))
     assert not rep.converged and rep.stop_reason == "max-iters"
@@ -548,8 +631,8 @@ def test_large_step_under_floor_does_not_stop(monkeypatch):
     cfg = SolveConfig(tol_factor=1e-13)
     done = solve_dirichlet(model, dom, config=cfg)
     assert done.stop_reason == "rounding-floor"
-    monkeypatch.setattr(solver, "_linear_solve",
-                        lambda J, rhs, rtol: np.full(rhs.shape, 1e-3))
+    monkeypatch.setattr(solver._LinearSolves, "solve",
+                        lambda self, J, rhs, newton: np.full(rhs.shape, 1e-3))
     rep = solve_dirichlet(model, dom, init=done.u,
                           config=SolveConfig(tol_factor=0.0, max_iters=1))
     # the large step was rejected, never taken, and a Picard sweep replaced it
