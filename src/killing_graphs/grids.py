@@ -20,9 +20,15 @@ lattice one.  A corner takes the mean of its two arcs, the two one-sided
 limits of piecewise continuous data; an unknown arc name raises ValueError.
 
 Values move between lattices by one rule, :meth:`ScalarGrid.transfer`:
-coinciding nodes (:func:`coincident_nodes`) copy exactly, other nodes
-interpolate bilinearly, and Dirichlet data and bridge values come from the
-target lattice.
+coinciding nodes (:func:`coincident_nodes`) copy exactly, and Dirichlet
+data and bridge values come from the target lattice.  The other nodes
+interpolate.  Onto the lattice with halved steps of a source that carries
+every node (the coarse-to-fine start of nested iteration) they interpolate
+by a limited cubic, one axis at a time: full-multigrid start-up needs an
+interpolation of higher order than the second-order scheme (Trottenberg,
+Oosterlee & Schüller, *Multigrid*, 2001, §2.6), and the limiter keeps jumps
+in the boundary data from overshooting (Fritsch & Carlson, SIAM J. Numer.
+Anal. 1980).  Onto any other lattice they interpolate bilinearly.
 """
 
 from __future__ import annotations
@@ -295,6 +301,32 @@ def coincident_nodes(src: GridDomain, dst: GridDomain) -> np.ndarray:
     return np.where((J >= 0) & (I >= 0), J * src.shape[1] + I, -1)
 
 
+def _midpoints(v: np.ndarray) -> np.ndarray:
+    """The values midway between consecutive rows of ``v`` (at least 4 rows):
+    the cubic (-1, 9, 9, -1)/16 inside and the one-sided cubic
+    (5, 15, -5, 1)/16 at either end, each clipped to the range of its two
+    neighbours."""
+    lo, hi = v[:-1], v[1:]
+    mid = np.empty(lo.shape)
+    mid[1:-1] = (9.0 * (lo[1:-1] + hi[1:-1]) - (v[:-3] + v[3:])) / 16.0
+    mid[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
+    mid[-1] = (5.0 * v[-1] + 15.0 * v[-2] - 5.0 * v[-3] + v[-4]) / 16.0
+    return np.clip(mid, np.minimum(lo, hi), np.maximum(lo, hi))
+
+
+def _refine(values: np.ndarray) -> np.ndarray:
+    """``values`` on the lattice with halved steps: the nodes copied, the
+    midpoints along axis 1 from :func:`_midpoints`, then those along axis 0
+    from the rows so made."""
+    for axis in (1, 0):
+        v = np.moveaxis(values, axis, 0)
+        out = np.empty((2 * v.shape[0] - 1,) + v.shape[1:])
+        out[::2] = v
+        out[1::2] = _midpoints(v)
+        values = np.moveaxis(out, 0, axis)
+    return values
+
+
 @dataclass
 class ScalarGrid:
     """Node values over the carried nodes of a GridDomain (NaN elsewhere)."""
@@ -330,19 +362,31 @@ class ScalarGrid:
         """These values carried onto the lattice ``target``.
 
         A node of ``target`` that coincides with a node of this lattice (see
-        :func:`coincident_nodes`) copies its value exactly; any other
-        carried node interpolates bilinearly (cartesian lattices only).
-        Dirichlet data and bridge values come from ``target``: its boundary
-        nodes take its ``bdata`` and each bridge node the mean of its pair.
+        :func:`coincident_nodes`) copies its value exactly.  When ``target``
+        is this cartesian lattice with halved steps, and this lattice
+        carries every node and has at least 4 on each axis, every midpoint
+        comes from the limited cubic of :func:`_refine`; onto any other
+        lattice the other carried nodes interpolate bilinearly
+        (:meth:`sample`, cartesian lattices only).  Dirichlet data and
+        bridge values come from ``target``: its boundary nodes take its
+        ``bdata`` and each bridge node the mean of its pair.
         """
-        idx = coincident_nodes(self.domain, target)
-        vals = np.full(target.shape, np.nan)
-        hit = idx >= 0
-        vals[hit] = self.values.ravel()[idx[hit]]
-        rest = target.carried() & ~hit
-        if np.any(rest):
-            X, Y = target.coords()
-            vals[rest] = self.sample(X[rest], Y[rest])
+        src = self.domain
+        idx = coincident_nodes(src, target)
+        n1, n0 = src.shape
+        if (src.kind == "cartesian" and min(n1, n0) >= 4
+                and np.all(np.isin(src.status, (INTERIOR, BOUNDARY)))
+                and idx.shape == (2 * n1 - 1, 2 * n0 - 1)
+                and np.array_equal(idx[::2, ::2], np.arange(src.status.size).reshape(n1, n0))):
+            vals = _refine(self.values)
+        else:
+            vals = np.full(target.shape, np.nan)
+            hit = idx >= 0
+            vals[hit] = self.values.ravel()[idx[hit]]
+            rest = target.carried() & ~hit
+            if np.any(rest):
+                X, Y = target.coords()
+                vals[rest] = self.sample(X[rest], Y[rest])
         bnd = target.status == BOUNDARY
         vals[bnd] = target.bdata[bnd]
         vals[~target.carried()] = np.nan

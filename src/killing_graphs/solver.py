@@ -12,7 +12,10 @@ The initial iterate (``SolveReport.start``) comes from one of three places:
 - ``coarse``: nested iteration.  A cartesian lattice with no excluded node,
   even interval counts and at least ``2 * _MIN_COARSE_INTERVALS`` intervals
   a side is first solved on the lattice of every other node (recursively),
-  and that converged solution is transferred back.  By mesh independence
+  and that converged solution is transferred back by the limited cubic of
+  :meth:`ScalarGrid.transfer`: an interpolation of higher order than the
+  second-order scheme, as full-multigrid start-up needs (Trottenberg,
+  Oosterlee & Schüller, *Multigrid*, 2001, §2.6).  By mesh independence
   (Allgower, Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 1986) the
   fine lattice then needs a few full Newton steps and no damped phase;
 - ``picard``: everywhere else, or when the coarse solve did not converge,
@@ -31,7 +34,10 @@ system is solved by one cycle of right-preconditioned GMRES on that LU, and
 the step is kept when ``|J delta + F| <= _FORCING |F|`` holds when
 recomputed.  Otherwise the held LU is dropped and the Jacobian is factored
 and solved directly, and its LU is held instead.  So a lattice makes one
-factorization when GMRES keeps meeting the bound.  Picard matrices are
+factorization when GMRES keeps meeting the bound.  An accepted damped step
+(``0 < t < 1``) also drops the held LU, so the next Newton system is
+factored directly: the iterate has moved far from the held LU's, and GMRES
+on it ran whole cycles before missing the bound.  Picard matrices are
 factored and solved directly, and their LU is never held: a frozen-W LU
 preconditions a Newton system poorly.  Every factorization is SuperLU's.
 Its pattern is the symmetric 5/9-point lattice stencil, so the columns are
@@ -111,7 +117,8 @@ _KRYLOV_MAX = 30            # GMRES iterations (one cycle) before the Jacobian i
 
 class _LinearSolves:
     """The linear algebra of one lattice: the LU of the last Newton Jacobian
-    factored on it, and the count of factorizations and GMRES iterations."""
+    factored on it (until a damped step drops it), and the count of
+    factorizations and GMRES iterations."""
 
     def __init__(self):
         self.lu = None
@@ -304,6 +311,9 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
                 vec, u, F = trial, u_try, F_try
                 fnorm = float(np.max(np.abs(F)))
                 damping.append(t)
+                if t < 1.0:
+                    # the next Newton system is factored directly (module docstring)
+                    linear.lu = None
                 diverged = _runaway(vec, F, scale)
                 continue
             damping.append(0.0)

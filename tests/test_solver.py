@@ -288,6 +288,23 @@ def test_unequal_snapped_steps_share_no_node():
 
 # -- nested iteration and warm starts --------------------------------------------------
 
+def _limited_cubic_midpoints(a):
+    """Midpoints along axis 0 of ``a``, one at a time: the cubic (-1, 9, 9, -1)/16
+    inside, the one-sided (5, 15, -5, 1)/16 at the ends, each clipped to the
+    range of its two neighbours."""
+    n = a.shape[0]
+    out = []
+    for k in range(n - 1):
+        if k == 0:
+            m = (5 * a[0] + 15 * a[1] - 5 * a[2] + a[3]) / 16
+        elif k == n - 2:
+            m = (5 * a[n - 1] + 15 * a[n - 2] - 5 * a[n - 3] + a[n - 4]) / 16
+        else:
+            m = (-a[k - 1] + 9 * a[k] + 9 * a[k + 1] - a[k + 2]) / 16
+        out.append(np.clip(m, np.minimum(a[k], a[k + 1]), np.maximum(a[k], a[k + 1])))
+    return np.array(out)
+
+
 def test_transfer_copies_coincident_nodes_and_interpolates_the_rest():
     rng = np.random.default_rng(7)
     coarse = GridDomain.rectangle(-1, 1, -1, 1, 1 / 4)
@@ -298,14 +315,20 @@ def test_transfer_copies_coincident_nodes_and_interpolates_the_rest():
     inter = fine.interior_mask()
     # coincident nodes: the same bits
     np.testing.assert_array_equal(v[::2, ::2][inter[::2, ::2]], c[inter[::2, ::2]])
-    # midpoints: the bilinear means of their two or four coarse neighbours
-    edge_x = 0.5 * (c[:, :-1] + c[:, 1:])
-    edge_y = 0.5 * (c[:-1, :] + c[1:, :])
-    centre = 0.25 * (c[:-1, :-1] + c[:-1, 1:] + c[1:, :-1] + c[1:, 1:])
+    # midpoints: the limited cubic along x on the coarse rows, then along y
+    # on the coarse columns and on the rows of x midpoints
+    edge_x = _limited_cubic_midpoints(c.T).T
+    edge_y = _limited_cubic_midpoints(c)
+    centre = _limited_cubic_midpoints(edge_x)
     for got, want, where in ((v[::2, 1::2], edge_x, inter[::2, 1::2]),
                              (v[1::2, ::2], edge_y, inter[1::2, ::2]),
                              (v[1::2, 1::2], centre, inter[1::2, 1::2])):
         np.testing.assert_allclose(got[where], want[where], rtol=0, atol=1e-15)
+    # the random data exercise the clip, and the one-sided ends reach interior nodes
+    lo, hi = np.minimum(c[:, :-1], c[:, 1:]), np.maximum(c[:, :-1], c[:, 1:])
+    assert np.any(edge_x == lo) and np.any(edge_x == hi)
+    assert np.any((edge_x > lo) & (edge_x < hi))
+    assert inter[2, 1] and inter[2, -2]
     # boundary nodes: the target's Dirichlet data, not the source values
     bnd = fine.status == 1
     np.testing.assert_array_equal(v[bnd], fine.bdata[bnd])
@@ -315,6 +338,75 @@ def test_transfer_copies_coincident_nodes_and_interpolates_the_rest():
     (q1, q2), = [punct.bridges[node]]
     w = src.transfer(punct).values
     assert w[node] == 0.5 * (w[q1] + w[q2])
+
+
+def test_refinement_transfer_reproduces_a_monotone_cubic():
+    def f(x, y):
+        return x ** 3 + x + 2 * y ** 3 + y ** 2 + y
+    coarse = GridDomain.rectangle(0, 2, -1, 0.5, 1 / 8, boundary=f)
+    fine = GridDomain.rectangle(0, 2, -1, 0.5, 1 / 16, boundary=f)
+    out = ScalarGrid.from_function(coarse, f).transfer(fine)
+    X, Y = fine.coords()
+    assert np.max(np.abs(out.values - f(X, Y))) <= 1e-13
+
+
+def test_refinement_transfer_keeps_a_jump_within_its_neighbours():
+    # clamped-strip data: 5 on the left and right arcs, 0 on the others and inside
+    coarse = _clamped_strip()
+    c = np.where(coarse.status == 1, coarse.bdata, 0.0)
+    fine = GridDomain.rectangle(-2.0, 2.0, -1.0, 1.0, 1 / 32, boundary={
+        "left": 5.0, "right": 5.0, "bottom": 0.0, "top": 0.0})
+    v = ScalarGrid(coarse, c).transfer(fine).values
+    inter = fine.interior_mask()
+    np.testing.assert_array_equal(v[::2, ::2], c)
+    # each midpoint lies between the two nodes it sits between, each centre
+    # between its four corners
+    corners = np.stack([c[:-1, :-1], c[:-1, 1:], c[1:, :-1], c[1:, 1:]])
+    for got, pair, where in ((v[::2, 1::2], (c[:, :-1], c[:, 1:]), inter[::2, 1::2]),
+                             (v[1::2, ::2], (c[:-1, :], c[1:, :]), inter[1::2, ::2]),
+                             (v[1::2, 1::2], corners, inter[1::2, 1::2])):
+        lo, hi = np.min(pair, axis=0), np.max(pair, axis=0)
+        # without the clip the cubic puts -5/16 between two zeros beside the jump
+        assert np.all((lo[where] <= got[where]) & (got[where] <= hi[where]))
+
+
+def _transfer_by_coincidence_and_bilinear(src, target):
+    # the rule for every target that is not the source lattice with halved steps
+    idx = coincident_nodes(src.domain, target)
+    vals = np.full(target.shape, np.nan)
+    hit = idx >= 0
+    vals[hit] = src.values.ravel()[idx[hit]]
+    rest = target.carried() & ~hit
+    if np.any(rest):
+        X, Y = target.coords()
+        vals[rest] = src.sample(X[rest], Y[rest])
+    bnd = target.status == 1
+    vals[bnd] = target.bdata[bnd]
+    vals[~target.carried()] = np.nan
+    for p, (q1, q2) in target.bridges.items():
+        vals[p] = 0.5 * (vals[q1] + vals[q2])
+    return vals
+
+
+_rect = GridDomain.rectangle
+_full = _rect(-1, 1, -1, 1, 1 / 8, boundary=lambda x, y: x * y)
+
+
+@pytest.mark.parametrize("src, target", [
+    # rectangle snaps h = 0.3 to 4/13 on [-2, 2] and to 2/7 on [-1, 1]
+    (_rect(-2, 2, -1, 1, 0.3), _rect(-1, 1, -1, 1, 0.3, boundary=1.0)),
+    (GridDomain.annulus(1, 3, 16, 16), GridDomain.annulus(1, 2, 8, 16, outer=1.0)),
+    (_full, _full.with_puncture(_full.nearest_node((0.25, 0.25)))),
+    (_rect(-1, 1, -1, 1, 1 / 4), _rect(-0.5, 1, -1, 1, 1 / 8, boundary=2.0)),
+    (_rect(-1, 1, -1, 1, 1 / 8), _rect(-1, 1, -1, 1, 1 / 4, boundary=2.0)),
+    (_rect(0, 1, 0, 1, 1 / 2), _rect(0, 1, 0, 1, 1 / 4)),
+], ids=["snapped-steps", "annulus", "full-to-punctured", "sub-rectangle",
+        "coarser", "three-node-source"])
+def test_non_refinement_targets_transfer_as_before(src, target):
+    rng = np.random.default_rng(3)
+    grid = ScalarGrid(src, rng.uniform(-1, 1, src.shape))
+    got = grid.transfer(target).values
+    np.testing.assert_array_equal(got, _transfer_by_coincidence_and_bilinear(grid, target))
 
 
 def test_odd_interval_count_is_not_coarsened():
@@ -346,6 +438,10 @@ def test_nested_solve_matches_cold_solve(monkeypatch):
     nested = solve_dirichlet(m, dom)
     assert nested.converged and nested.start == "coarse"
     assert len(nested.coarse_iterations) == 2 and min(nested.coarse_iterations) >= 1
+    # the limited cubic start saves the fine level a Newton step (4 steps and
+    # 25 GMRES iterations from a bilinear start)
+    assert nested.iterations == 3
+    assert nested.krylov_iterations <= 15
     monkeypatch.setattr(solver, "_MIN_COARSE_INTERVALS", 10 ** 9)
     cold = solve_dirichlet(m, dom)
     assert cold.converged and cold.start == "picard" and cold.coarse_iterations == []
@@ -457,14 +553,20 @@ def test_one_factorization_per_lattice_plus_picard_and_refactors(monkeypatch):
     assert counts["matrices"] == 1 + rep.iterations + rep.picard_sweeps
     per_matrix = _solves_per_matrix(counts["events"])
     # every Picard matrix is factored and solved directly; the first Newton
-    # Jacobian is factored, and each later one goes to GMRES first and is
-    # factored only when GMRES misses the forcing bound
+    # Jacobian is factored, and so is each one after an accepted damped step;
+    # every other one goes to GMRES first and is factored only when GMRES
+    # misses the forcing bound
     newton = [m for m in per_matrix if m.startswith("newton")]
     assert all(m == "picard:splu" for m in per_matrix if m.startswith("picard"))
+    assert len(newton) == len(rep.damping_history) == rep.iterations
+    after_damped = [0.0 < t < 1.0 for t in rep.damping_history[:-1]]
+    assert any(after_damped) and not all(after_damped)
     assert newton[0] == "newton:splu"
-    assert all(m in ("newton:gmres", "newton:gmres,splu") for m in newton[1:])
+    for m, damped in zip(newton[1:], after_damped):
+        assert m == "newton:splu" if damped else m in ("newton:gmres", "newton:gmres,splu")
     refactors = newton.count("newton:gmres,splu")
-    assert counts["splu"] == rep.factorizations == 1 + rep.picard_sweeps + 1 + refactors
+    assert counts["splu"] == rep.factorizations == (1 + rep.picard_sweeps + 1 + sum(after_damped)
+                                                     + refactors)
     assert counts["splu"] < counts["matrices"] and "newton:gmres" in newton
     assert counts["spsolve"] == 0
     # the refinement reuses the factors: two triangular solves per direct
