@@ -201,6 +201,7 @@ def cmd_solve(cfg: dict, args) -> int:
         "picard_sweeps": rep.picard_sweeps,
         "factorizations": rep.factorizations,
         "krylov_iterations": rep.krylov_iterations,
+        "lu_fill": rep.lu_fill,
         "damping_history": rep.damping_history,
         "message": rep.message,
         "runtime_seconds": rep.runtime,

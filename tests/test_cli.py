@@ -69,6 +69,7 @@ def test_solve_report_records_the_linear_algebra(tmp_path):
     assert report["start"] == "picard" and report["iterations"] == rep.iterations
     assert report["factorizations"] == rep.factorizations
     assert report["krylov_iterations"] == rep.krylov_iterations
+    assert report["lu_fill"] == rep.lu_fill > 0
     # the Picard matrix and the first Newton Jacobian at least, and fewer
     # factorizations than matrices; at most _KRYLOV_MAX GMRES iterations
     # per Newton step after the first

@@ -9,7 +9,7 @@ from killing_graphs.operator import AssemblyCache
 from killing_graphs.solver import (SolveConfig, check_max_principle,
                                    exhaustion_solve, solve_dirichlet)
 from killing_graphs.nil import strip_truncation_domain
-from killing_graphs.experiments import sol3_exact_domain
+from killing_graphs.experiments import disk_sin2theta_domain, sol3_exact_domain
 
 
 def arctan_profile(c):
@@ -480,6 +480,9 @@ class _CountingLU:
     def __init__(self, lu, counts, kind):
         self._lu, self._counts, self.kind = lu, counts, kind
 
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
     def solve(self, rhs):
         if self._counts["in_gmres"]:
             self._counts["gmres_preconditioners"].append(self.kind)
@@ -490,21 +493,28 @@ class _CountingLU:
 
 def _count_linear_algebra(monkeypatch):
     """Count factorizations, triangular solves, GMRES calls and assembled
-    matrices; record the column ordering each factorization asks for, the
-    sequence of events, and the kind of matrix ("newton" or "picard") whose
-    LU each triangular solve inside GMRES used."""
+    matrices; record the column ordering each factorization asks for,
+    whether it was given the last matrix in nested-dissection order, its
+    stored entries, the sequence of events, and the kind of matrix
+    ("newton" or "picard") whose LU each triangular solve inside GMRES
+    used."""
     counts = {"splu": 0, "spsolve": 0, "gmres": 0, "lu_solves": 0, "matrices": 0,
-              "permc_spec": [], "events": [], "in_gmres": False,
-              "gmres_preconditioners": []}
+              "permc_spec": [], "permuted": [], "lu_nnz": [], "events": [],
+              "in_gmres": False, "gmres_preconditioners": []}
     splu, spsolve, gmres, jacobian = spla.splu, spla.spsolve, spla.gmres, AssemblyCache.jacobian
 
     def counting_splu(*args, **kwargs):
         counts["splu"] += 1
         counts["permc_spec"].append(kwargs.get("permc_spec"))
         counts["events"].append("splu")
-        # the LU is of the matrix assembled last
+        # the LU is of the matrix assembled last, permuted to nested-dissection order
         kind = next(e for e in reversed(counts["events"]) if e in ("newton", "picard"))
-        return _CountingLU(splu(*args, **kwargs), counts, kind)
+        cache, J = counts["last_matrix"]
+        p = solver._dissection_order(cache)
+        counts["permuted"].append((args[0] != J[p][:, p]).nnz == 0)
+        lu = _CountingLU(splu(*args, **kwargs), counts, kind)
+        counts["lu_nnz"].append(lu.nnz)
+        return lu
 
     def counting_spsolve(*args, **kwargs):
         counts["spsolve"] += 1
@@ -522,7 +532,9 @@ def _count_linear_algebra(monkeypatch):
     def counting_jacobian(self, *args, **kwargs):
         counts["matrices"] += 1
         counts["events"].append("newton" if kwargs.get("frozen_W") is None else "picard")
-        return jacobian(self, *args, **kwargs)
+        J = jacobian(self, *args, **kwargs)
+        counts["last_matrix"] = (self, J.copy())
+        return J
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(spla, "spsolve", counting_spsolve)
@@ -570,10 +582,23 @@ def test_one_factorization_per_lattice_plus_picard_and_refactors(monkeypatch):
     assert counts["splu"] < counts["matrices"] and "newton:gmres" in newton
     assert counts["spsolve"] == 0
     # the refinement reuses the factors: two triangular solves per direct
-    # solve, and one more that maps each GMRES solution back
-    assert counts["lu_solves"] == 2 * counts["splu"] + counts["gmres"]
-    # the symmetric 5/9-point pattern is ordered by minimum degree on A^T + A
-    assert counts["permc_spec"] == ["MMD_AT_PLUS_A"] * counts["splu"]
+    # solve; a GMRES solution is mapped back by the LU solve of GMRES's own
+    # last residual, so it costs none outside GMRES
+    assert counts["lu_solves"] == 2 * counts["splu"]
+    # SuperLU keeps the nested-dissection order it is given
+    assert counts["permc_spec"] == ["NATURAL"] * counts["splu"]
+    assert all(counts["permuted"]) and len(counts["permuted"]) == counts["splu"]
+
+
+def test_lu_fill_is_the_largest_factorization(monkeypatch):
+    m = builtin_model("nil3", (0.5,))
+    counts = _count_linear_algebra(monkeypatch)
+    rep = solve_dirichlet(m, _clamped_strip())
+    assert rep.factorizations == len(counts["lu_nnz"]) >= 2
+    assert rep.lu_fill == max(counts["lu_nnz"])
+    # minimum degree stores more entries on this lattice
+    _minimum_degree_reference(monkeypatch)
+    assert solve_dirichlet(m, _clamped_strip()).lu_fill > rep.lu_fill
 
 
 @pytest.mark.parametrize("min_step", [None, 2.0])
@@ -639,6 +664,155 @@ def test_factor_reuse_matches_two_spsolve_path(monkeypatch):
     inter = _clamped_strip().interior_mask()
     scale = np.max(np.abs(ref.u.values[inter]))
     assert np.max(np.abs(rep.u.values[inter] - ref.u.values[inter])) <= 1e-14 * scale
+
+
+# -- nested-dissection order ---------------------------------------------------------
+
+def _model(preset):
+    return builtin_model(preset, (0.5,)) if preset == "nil3" else builtin_model(preset)
+
+
+def _disk_pair(h):
+    dom = disk_sin2theta_domain(h)
+    return dom, dom.with_puncture(dom.nearest_node((0.25, 0.25)))
+
+
+_ORDER_LATTICES = {
+    "rectangle": lambda: ("nil3", GridDomain.rectangle(-1, 1, -1, 1, 1 / 16,
+                                                       boundary=lambda x, y: np.sin(3 * x))),
+    "strip": lambda: ("nil3", _clamped_strip()),
+    "punctured-disk": lambda: ("euclidean", _disk_pair(1 / 16)[1]),
+    "sol3": lambda: ("sol3-halfplane", sol3_exact_domain(1 / 16)),
+    "annulus": lambda: ("euclidean", GridDomain.annulus(1, 2, 16, 64, outer=1.0)),
+}
+
+
+def _order_cache(name):
+    preset, dom = _ORDER_LATTICES[name]()
+    return AssemblyCache(_model(preset), dom)
+
+
+def _first_jacobian(cache):
+    """The Newton Jacobian at zero interior values."""
+    return cache.jacobian(solver._full_grid(cache.dom, np.zeros(cache.n_unknowns), cache))
+
+
+@pytest.mark.parametrize("name", list(_ORDER_LATTICES))
+def test_dissection_order_numbers_every_unknown_once(name):
+    cache = _order_cache(name)
+    if name == "punctured-disk":
+        assert cache.dom.bridges and cache.bridge_rows.size == 1
+    order = solver._dissection_order(cache)
+    np.testing.assert_array_equal(np.sort(order), np.arange(cache.n_unknowns))
+
+
+@pytest.mark.parametrize("name", list(_ORDER_LATTICES))
+def test_no_jacobian_entry_couples_the_halves_of_a_split_box(monkeypatch, name):
+    cache = _order_cache(name)
+    boxes, parents, stack = [], [], []
+    dissect = solver._dissect
+
+    def recording(ids, j0, j1, i0, i1, out):
+        boxes.append((j0, j1, i0, i1))
+        parents.append(stack[-1] if stack else None)
+        stack.append(len(boxes) - 1)
+        try:
+            dissect(ids, j0, j1, i0, i1, out)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(solver, "_dissect", recording)
+    solver._dissection_order(cache)
+    # the halves of each split box; the lattice is one box with no parent,
+    # except on the annulus, where the two halves of the first cut (rows 0
+    # and n1/2 taken out) have none
+    halves = {}
+    for k, parent in enumerate(parents):
+        halves.setdefault(parent, []).append(k)
+    top = halves.pop(None)
+    if cache.dom.periodic:
+        halves[None] = top
+    else:
+        assert boxes[top[0]] == (0, cache.n1, 0, cache.n0)
+    assert all(len(pair) == 2 for pair in halves.values()) and len(halves) > 10
+    pattern = _first_jacobian(cache)
+    pattern.data[:] = 1.0
+    ids = cache.unknown_ids.reshape(cache.n1, cache.n0)
+
+    def members(box):
+        j0, j1, i0, i1 = box
+        inside = np.zeros(cache.n_unknowns)
+        block = ids[j0:j1, i0:i1]
+        inside[block[block >= 0]] = 1.0
+        return inside
+
+    for a, b in halves.values():
+        ina, inb = members(boxes[a]), members(boxes[b])
+        assert ina @ (pattern @ inb) == 0 and inb @ (pattern @ ina) == 0
+
+
+def _fill(lu):
+    """Nonzeros of the factors L and U."""
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("preset, dom, bound", [
+    ("nil3", GridDomain.rectangle(-1, 1, -1, 1, 1 / 64,
+                                  boundary=lambda x, y: np.sin(3 * x) + x * y), 1.0),
+    ("nil3", GridDomain.rectangle(-2.0, 2.0, -1.0, 1.0, 1 / 32, boundary={
+        "left": 5.0, "right": 5.0, "bottom": 0.0, "top": 0.0}), 1.0),
+    ("euclidean", disk_sin2theta_domain(1 / 32), 1.0),
+    ("sol3-halfplane", sol3_exact_domain(1 / 16), 1.15),
+    ("euclidean", GridDomain.annulus(1, 2, 64, 256, outer=1.0), 1.15),
+], ids=["rectangle", "strip", "disk", "sol3", "annulus"])
+def test_dissection_fills_no_more_than_minimum_degree(preset, dom, bound):
+    cache = AssemblyCache(_model(preset), dom)
+    J = _first_jacobian(cache)
+    linear = solver._LinearSolves(cache)
+    linear.solve(J, np.ones(cache.n_unknowns), newton=True)
+    mmd = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert _fill(linear.lu) <= bound * _fill(mmd)
+
+
+def _minimum_degree_reference(monkeypatch):
+    """Factor every matrix as before nested dissection: in the lattice's own
+    numbering, with SuperLU ordering the columns by minimum degree on A^T + A."""
+    splu = spla.splu
+    monkeypatch.setattr(solver, "_dissection_order", lambda cache: np.arange(cache.n_unknowns))
+    monkeypatch.setattr(spla, "splu",
+                        lambda A, **kw: splu(A, **{**kw, "permc_spec": "MMD_AT_PLUS_A"}))
+
+
+def _pair_solves(model, dom):
+    """The solve of ``dom``, or of a (full, punctured) pair with the
+    punctured solve started from the full one."""
+    if isinstance(dom, tuple):
+        full = solve_dirichlet(model, dom[0])
+        return [full, solve_dirichlet(model, dom[1], init=full.u.transfer(dom[1]))]
+    return [solve_dirichlet(model, dom)]
+
+
+@pytest.mark.parametrize("preset, dom", [
+    ("nil3", GridDomain.rectangle(-1, 1, -1, 1, 1 / 64,
+                                  boundary=lambda x, y: np.sin(3 * x) + x * y)),
+    ("nil3", _clamped_strip()),
+    ("euclidean", _disk_pair(1 / 32)),
+], ids=["nested-nil3", "clamped-strip", "disk-pair"])
+def test_dissection_order_matches_minimum_degree_run(monkeypatch, preset, dom):
+    model = _model(preset)
+    reps = _pair_solves(model, dom)
+    _minimum_degree_reference(monkeypatch)
+    refs = _pair_solves(model, dom)
+    for rep, ref in zip(reps, refs):
+        assert rep.converged and ref.converged
+        for key in ("start", "iterations", "coarse_iterations", "picard_sweeps",
+                    "factorizations", "stop_reason"):
+            assert getattr(rep, key) == getattr(ref, key), key
+        # the two LUs round differently, so a GMRES cycle may meet its bound an
+        # iteration sooner or later (the clamped strip takes 49 against 50)
+        assert abs(rep.krylov_iterations - ref.krylov_iterations) <= 1
+        carried = rep.u.domain.carried()
+        assert np.max(np.abs(rep.u.values[carried] - ref.u.values[carried])) <= 1e-12
 
 
 def _splu_singular_from(monkeypatch, n_ok):
