@@ -198,7 +198,6 @@ def cmd_solve(cfg: dict, args) -> int:
         "coarse_iterations": rep.coarse_iterations,
         "residual_norm": rep.residual_norm,
         "tolerance": rep.tolerance,
-        "picard_sweeps": rep.picard_sweeps,
         "factorizations": rep.factorizations,
         "krylov_iterations": rep.krylov_iterations,
         "lu_fill": rep.lu_fill,

@@ -1,9 +1,9 @@
 """Damped Newton solver for the Dirichlet problem F(u) = 0.
 
-The Jacobian is the exact derivative of the flux-form residual.  When the
-backtracking search rejects a Newton step, or the Jacobian is singular, the
-same iteration ends with a Picard sweep (frozen area element): a rejected
-step would only be retried from the same iterate, with the same result.
+The Jacobian is the exact derivative of the flux-form residual.  Each
+iteration is one Newton step with an Armijo backtracking line search.  A
+step the search rejects ends the solve: a retry from the same iterate
+would take the same step.
 
 The initial iterate (``SolveReport.start``) comes from one of three places:
 
@@ -37,9 +37,9 @@ and solved directly, and its LU is held instead.  So a lattice makes one
 factorization when GMRES keeps meeting the bound.  An accepted damped step
 (``0 < t < 1``) also drops the held LU, so the next Newton system is
 factored directly: the iterate has moved far from the held LU's, and GMRES
-on it ran whole cycles before missing the bound.  Picard matrices are
-factored and solved directly, and their LU is never held: a frozen-W LU
-preconditions a Newton system poorly.  Every factorization is SuperLU's,
+on it ran whole cycles before missing the bound.  The Picard start's
+matrix is factored and solved directly, its LU never held: a frozen-W
+LU preconditions a Newton system poorly.  Every factorization is SuperLU's,
 of the Jacobian with its unknowns in nested-dissection order, computed once
 per solve from the lattice itself (George, "Nested dissection of a regular
 finite element mesh", SIAM J. Numer. Anal. 1973): each index box is split
@@ -60,17 +60,21 @@ y; that M^-1 y is kept and is the step.
 The solve stops, with ``converged=True``, on either of two rules:
 
 - ``tolerance``: ``max|F| <= tol_factor * (1 + max|2 mu H|)``;
-- ``rounding-floor``: the Newton step is at rounding size,
-  ``max|delta| <= eps * (1 + max|u|)``, and the residual is under its
-  rounding floor, ``max|F| <= eps * max(|J| |u|)`` over the unknowns, so no
-  further step can lower it (Kelley, *Iterative Methods for Linear and
-  Nonlinear Equations*, ch. 5 on stagnation).
+- ``rounding-floor``: with ``floor = eps * max(|J| |u|)`` over the
+  unknowns, the rounding error of evaluating F at u, both the residual
+  and the Newton step's predicted change of it are under the floor,
+  ``max|F| <= floor`` and ``max|J delta| <= floor``, so no further step can
+  lower F (Kelley, *Iterative Methods for Linear and Nonlinear Equations*,
+  ch. 5 on stagnation).  The step itself may be far above rounding size:
+  near a jump in the boundary data the Jacobian is ill-conditioned.
 
 Otherwise it ends with ``converged=False`` and ``stop_reason``
-``max-iters`` (the iteration budget ran out), ``singular`` (a Picard
-system could not be factored) or ``diverged``: the residual or the
-Jacobian is not finite, or max|u| has grown past ``_RUNAWAY`` times its
-starting scale 1 + max|u_0|, as it does on a problem with no solution.
+``max-iters`` (the iteration budget ran out), ``stalled`` (the line search
+rejected the Newton step, t below ``_MIN_STEP``; a ``0.0`` closes
+``damping_history``), ``singular`` (the Picard start or a Jacobian could
+not be factored) or ``diverged``: the residual or the Jacobian is not
+finite, or max|u| has grown past ``_RUNAWAY`` times its starting scale
+1 + max|u_0|, as it does on a problem with no solution.
 """
 
 from __future__ import annotations
@@ -102,13 +106,13 @@ class SolveReport:
     residual_norm: float
     tolerance: float
     damping_history: List[float] = field(default_factory=list)
-    picard_sweeps: int = 0
+    picard_sweeps: int = 0     # always 0: kept only for the benchmark tracer, which reads it
     message: str = ""
     runtime: float = 0.0       # seconds, coarse levels included
-    stop_reason: str = ""      # tolerance | rounding-floor | max-iters | singular | diverged
+    stop_reason: str = ""      # tolerance | rounding-floor | max-iters | stalled | singular | diverged
     start: str = "picard"      # picard | coarse | given: where the first iterate came from
     coarse_iterations: List[int] = field(default_factory=list)   # per coarse level, coarsest first
-    factorizations: int = 0    # LU factorizations on this lattice, Picard matrices included
+    factorizations: int = 0    # LU factorizations on this lattice, the Picard start's included
     krylov_iterations: int = 0  # GMRES iterations on this lattice
     lu_fill: int = 0           # most entries of L and U stored by one factorization on this lattice
 
@@ -179,8 +183,8 @@ class _LinearSolves:
 
     def solve(self, J, rhs, newton: bool) -> np.ndarray:
         """delta with J delta = rhs.  A Newton system tries GMRES on the held
-        LU first; a Picard system, or a Newton one that GMRES leaves above
-        the forcing bound, is factored and solved directly."""
+        LU first; the Picard start's system, or a Newton one that GMRES
+        leaves above the forcing bound, is factored and solved directly."""
         if newton:
             # _KRYLOV_MAX = 0 leaves the direct path alone
             if self.lu is not None and _KRYLOV_MAX:
@@ -246,16 +250,6 @@ def _full_grid(dom: GridDomain, interior_vec, cache: AssemblyCache) -> np.ndarra
     return u
 
 
-def _picard_solve(cache: AssemblyCache, u_grid: np.ndarray, rhs: np.ndarray,
-                  frozen_W: list, linear: _LinearSolves) -> np.ndarray:
-    """Solve the affine frozen-coefficient system exactly (one direct solve)."""
-    J = cache.jacobian(u_grid, frozen_W=frozen_W)
-    vec = u_grid.ravel()[cache.flat_unknown].copy()
-    F = cache.residual(u_grid, rhs, frozen_W=frozen_W)
-    delta = linear.solve(J, -F, newton=False)
-    return vec + delta
-
-
 def _coarse_domain(dom: GridDomain) -> Optional[GridDomain]:
     """The lattice of every other node of ``dom``, with the steps doubled and
     the bridges dropped; None where nested iteration does not apply: polar
@@ -290,8 +284,9 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
                     cache: Optional[AssemblyCache] = None) -> SolveReport:
     """Solve the prescribed-mean-curvature Dirichlet problem on ``dom``.
 
-    Newton iteration with backtracking line search and a Picard sweep in
-    place of a rejected step.  The initial iterate is ``init`` (values on
+    Damped Newton iteration: a backtracking line search on each step, and
+    a rejected step stops the solve as ``stalled``; the stop rules are in
+    the module docstring.  The initial iterate is ``init`` (values on
     this lattice; see :meth:`ScalarGrid.transfer`) when given; else, where
     the lattice coarsens (see :func:`_coarse_domain`), the converged
     solution of the same problem on the coarse lattice carried onto this
@@ -321,18 +316,18 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
     if init is not None:
         vec = init.values.ravel()[cache.flat_unknown].copy()
     else:
+        # one Picard solve: the system with W frozen at W0 is affine in u
         zero_grid = _full_grid(dom, np.zeros(cache.n_unknowns), cache)
-        zeros_everywhere = np.where(dom.carried(), 0.0, np.nan)
-        W0 = cache.frozen_W(zeros_everywhere)
+        W0 = cache.frozen_W(np.where(dom.carried(), 0.0, np.nan))
         try:
-            vec = _picard_solve(cache, zero_grid, rhs, W0, linear)
+            vec = linear.solve(cache.jacobian(zero_grid, frozen_W=W0),
+                               -cache.residual(zero_grid, rhs, frozen_W=W0), newton=False)
         except _SINGULAR:
             vec = np.zeros(cache.n_unknowns)
             singular_start = True
             message = "singular Picard system for the initial iterate"
 
     damping: List[float] = []
-    picard_sweeps = 0
     stop_reason = "singular" if singular_start else "max-iters"
     iters = 0
     # a warm start skips the tolerance test before its first Newton step
@@ -355,69 +350,47 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
         try:
             delta = linear.solve(J, -F, newton=True)
         except _SINGULAR:
-            delta = None
-
-        if delta is not None:
-            # the step test comes first: the mat-vec runs only when the
-            # step is already at rounding size
-            if np.max(np.abs(delta)) <= _EPS * (1.0 + np.max(np.abs(vec))):
-                floor = _EPS * float(np.max(abs(J) @ np.abs(vec)))
-                if fnorm <= floor:
-                    stop_reason = "rounding-floor"
-                    message = f"residual at its rounding floor {floor:.3e}"
-                    break
-            phi0 = float(F @ F)
-            t = 1.0
-            accepted = False
-            while t >= _MIN_STEP:
-                trial = vec + t * delta
-                u_try = _full_grid(dom, trial, cache)
-                F_try = cache.residual(u_try, rhs)
-                if float(F_try @ F_try) <= (1.0 - 2.0 * _ARMIJO * t) * phi0:
-                    accepted = True
-                    break
-                t *= 0.5
-            if accepted:
-                vec, u, F = trial, u_try, F_try
-                fnorm = float(np.max(np.abs(F)))
-                damping.append(t)
-                if t < 1.0:
-                    # the next Newton system is factored directly (module docstring)
-                    linear.lu = None
-                diverged = _runaway(vec, F, scale)
-                continue
-            damping.append(0.0)
-
-        # Picard sweep: after a singular Jacobian or a rejected Newton step
-        try:
-            vec = _picard_solve(cache, u, rhs, cache.frozen_W(u), linear)
-        except _SINGULAR:
-            after = "a singular Jacobian" if delta is None else "a rejected Newton step"
-            message = f"singular Picard system in the fallback after {after}"
-            stop_reason = "singular"
+            stop_reason, message = "singular", "singular Jacobian"
             break
-        picard_sweeps += 1
-        u = _full_grid(dom, vec, cache)
-        F = cache.residual(u, rhs)
-        fnorm = float(np.max(np.abs(F)))
-        diverged = _runaway(vec, F, scale)
-        if delta is None:
-            message = "singular Jacobian; Picard fallback"
+        floor = _EPS * float(np.max(abs(J) @ np.abs(vec)))
+        if fnorm <= floor and np.max(np.abs(J @ delta)) <= floor:
+            stop_reason = "rounding-floor"
+            message = f"residual at its rounding floor {floor:.3e}"
+            break
+        phi0 = float(F @ F)
+        t = 1.0
+        while t >= _MIN_STEP:
+            trial = vec + t * delta
+            u_try = _full_grid(dom, trial, cache)
+            F_try = cache.residual(u_try, rhs)
+            if float(F_try @ F_try) <= (1.0 - 2.0 * _ARMIJO * t) * phi0:
+                break
+            t *= 0.5
         else:
-            message = "Picard fallback after a rejected Newton step"
+            damping.append(0.0)
+            stop_reason = "stalled"
+            message = f"line search rejected the Newton step at max|F| = {fnorm:.3e}"
+            break
+        vec, u, F = trial, u_try, F_try
+        fnorm = float(np.max(np.abs(F)))
+        damping.append(t)
+        if t < 1.0:
+            # the next Newton system is factored directly (module docstring)
+            linear.lu = None
+        diverged = _runaway(vec, F, scale)
 
     if diverged:
         stop_reason, message = "diverged", diverged
     elif fnorm <= tol:
         stop_reason = "tolerance"
     converged = stop_reason in ("tolerance", "rounding-floor")
-    if stop_reason == "max-iters" and not message:
+    if stop_reason == "max-iters":
         message = f"no convergence in {cfg.max_iters} iterations"
 
     sol = raw_grid(dom, u)
     return SolveReport(u=sol, converged=converged, iterations=iters,
                        residual_norm=fnorm, tolerance=tol,
-                       damping_history=damping, picard_sweeps=picard_sweeps,
+                       damping_history=damping,
                        message=message, runtime=time.perf_counter() - t0,
                        stop_reason=stop_reason, start=start,
                        coarse_iterations=coarse_iterations,

@@ -105,30 +105,37 @@ def test_nonconvergence_reported():
     assert rep.message != ""
 
 
-def test_rejected_step_ends_its_iteration_with_a_picard_sweep(monkeypatch):
-    # a line-search floor above t = 1 rejects every Newton step; each
-    # rejection is followed by a sweep in the same iteration, not retried
+def test_rejected_step_stops_as_stalled(monkeypatch):
+    # a line-search floor above t = 1 rejects every Newton step; the first
+    # rejection ends the solve, as a retry from the same iterate would take
+    # the same step
     monkeypatch.setattr(solver, "_MIN_STEP", 2.0)
     rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip(),
                           config=SolveConfig(max_iters=8))
-    assert not rep.converged and rep.stop_reason == "max-iters"
-    assert rep.damping_history.count(0.0) > 1
-    assert rep.picard_sweeps == rep.damping_history.count(0.0)
+    assert not rep.converged and rep.stop_reason == "stalled"
+    assert rep.iterations == 1 and rep.damping_history == [0.0]
+    assert f"max|F| = {rep.residual_norm:.3e}" in rep.message
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("h", [1 / 4, 1 / 8])
 @pytest.mark.parametrize("punctured", [False, True])
 def test_unsolvable_problem_stops_as_diverged(h, punctured):
-    # H = 5 has no graph over the square: the iterate runs away, and the
-    # solve says so within a few iterations, before anything overflows
+    # H = 5 has no graph over the square: at h = 1/8 the iterate runs away,
+    # and the solve says so within a few iterations, before anything
+    # overflows; at h = 1/4 the line search rejects a step first
     dom = GridDomain.rectangle(-1, 1, -1, 1, h)
     if punctured:
         dom = dom.with_puncture(dom.nearest_node((0.25, 0.25)))
     rep = solve_dirichlet(builtin_model("euclidean"), dom, H="5.0",
                           config=SolveConfig(tol_factor=1e-13))
-    assert not rep.converged and rep.stop_reason == "diverged"
-    assert 1 <= rep.iterations <= 5 and "ran away" in rep.message
+    assert not rep.converged
+    if h == 1 / 4:
+        assert rep.stop_reason == "stalled" and rep.iterations == 3
+        assert rep.damping_history[-1] == 0.0
+    else:
+        assert rep.stop_reason == "diverged"
+        assert 1 <= rep.iterations <= 5 and "ran away" in rep.message
 
 
 def test_non_finite_jacobian_stops_as_diverged(monkeypatch):
@@ -562,14 +569,14 @@ def test_one_factorization_per_lattice_plus_picard_and_refactors(monkeypatch):
     rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip())
     assert rep.converged and rep.iterations >= 3
     # one Picard matrix for the initial iterate, one Jacobian per Newton step
-    assert counts["matrices"] == 1 + rep.iterations + rep.picard_sweeps
+    assert counts["matrices"] == 1 + rep.iterations
     per_matrix = _solves_per_matrix(counts["events"])
-    # every Picard matrix is factored and solved directly; the first Newton
+    # the Picard matrix is factored and solved directly; the first Newton
     # Jacobian is factored, and so is each one after an accepted damped step;
     # every other one goes to GMRES first and is factored only when GMRES
     # misses the forcing bound
     newton = [m for m in per_matrix if m.startswith("newton")]
-    assert all(m == "picard:splu" for m in per_matrix if m.startswith("picard"))
+    assert [m for m in per_matrix if m.startswith("picard")] == ["picard:splu"]
     assert len(newton) == len(rep.damping_history) == rep.iterations
     after_damped = [0.0 < t < 1.0 for t in rep.damping_history[:-1]]
     assert any(after_damped) and not all(after_damped)
@@ -577,8 +584,7 @@ def test_one_factorization_per_lattice_plus_picard_and_refactors(monkeypatch):
     for m, damped in zip(newton[1:], after_damped):
         assert m == "newton:splu" if damped else m in ("newton:gmres", "newton:gmres,splu")
     refactors = newton.count("newton:gmres,splu")
-    assert counts["splu"] == rep.factorizations == (1 + rep.picard_sweeps + 1 + sum(after_damped)
-                                                     + refactors)
+    assert counts["splu"] == rep.factorizations == 1 + 1 + sum(after_damped) + refactors
     assert counts["splu"] < counts["matrices"] and "newton:gmres" in newton
     assert counts["spsolve"] == 0
     # the refinement reuses the factors: two triangular solves per direct
@@ -601,17 +607,12 @@ def test_lu_fill_is_the_largest_factorization(monkeypatch):
     assert solve_dirichlet(m, _clamped_strip()).lu_fill > rep.lu_fill
 
 
-@pytest.mark.parametrize("min_step", [None, 2.0])
-def test_picard_lu_never_preconditions_a_newton_step(monkeypatch, min_step):
-    # the Picard start comes first; a line-search floor above t = 1 also puts a
-    # Picard sweep between every two Newton steps
-    if min_step is not None:
-        monkeypatch.setattr(solver, "_MIN_STEP", min_step)
+def test_picard_lu_never_preconditions_a_newton_step(monkeypatch):
+    # the Picard start comes first, then Newton steps on the held LU
     counts = _count_linear_algebra(monkeypatch)
     rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip(),
                           config=SolveConfig(max_iters=8))
     assert rep.start == "picard" and counts["gmres"] >= 1
-    assert (rep.picard_sweeps >= 1) == (min_step is not None)
     assert counts["gmres_preconditioners"]
     assert set(counts["gmres_preconditioners"]) == {"newton"}
     assert _solves_per_matrix(counts["events"])[1] == "newton:splu"
@@ -658,7 +659,7 @@ def test_factor_reuse_matches_two_spsolve_path(monkeypatch):
     ref = solve_dirichlet(m, _clamped_strip())
     assert rep.converged and ref.converged
     assert rep.iterations == ref.iterations
-    assert rep.picard_sweeps == ref.picard_sweeps
+    assert rep.stop_reason == ref.stop_reason
     np.testing.assert_allclose(rep.damping_history, ref.damping_history,
                                rtol=1e-14, atol=0.0)
     inter = _clamped_strip().interior_mask()
@@ -805,8 +806,8 @@ def test_dissection_order_matches_minimum_degree_run(monkeypatch, preset, dom):
     refs = _pair_solves(model, dom)
     for rep, ref in zip(reps, refs):
         assert rep.converged and ref.converged
-        for key in ("start", "iterations", "coarse_iterations", "picard_sweeps",
-                    "factorizations", "stop_reason"):
+        for key in ("start", "iterations", "coarse_iterations", "factorizations",
+                    "stop_reason"):
             assert getattr(rep, key) == getattr(ref, key), key
         # the two LUs round differently, so a GMRES cycle may meet its bound an
         # iteration sooner or later (the clamped strip takes 49 against 50)
@@ -840,15 +841,15 @@ def test_singular_initial_picard_reported_not_raised(monkeypatch):
     assert np.isfinite(rep.residual_norm)
 
 
-def test_singular_picard_fallback_reported_not_raised(monkeypatch):
-    # the initial Picard solve succeeds, the first Jacobian is singular and
-    # so is the Picard system that replaces it
+def test_singular_jacobian_reported_not_raised(monkeypatch):
+    # the initial Picard solve succeeds and the first Jacobian is singular:
+    # the solve stops there, with no step taken
     calls = _splu_singular_from(monkeypatch, 1)
     rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip())
     assert not rep.converged
-    assert rep.iterations == 1 and len(calls) == 3
-    assert rep.picard_sweeps == 0
-    assert "singular Picard" in rep.message
+    assert rep.iterations == 1 and len(calls) == 2
+    assert rep.damping_history == []
+    assert rep.message == "singular Jacobian"
     assert rep.stop_reason == "singular"
     assert np.isfinite(rep.residual_norm)
 
@@ -866,7 +867,7 @@ def test_sol3_pair_stops_at_rounding_floor():
     for dom in _sol3_pair():
         rep = solve_dirichlet(builtin_model("sol3-halfplane"), dom, config=cfg)
         assert rep.converged and rep.stop_reason == "rounding-floor"
-        assert rep.iterations <= 4 and rep.picard_sweeps == 0
+        assert rep.iterations <= 4 and set(rep.damping_history) == {1.0}
         assert rep.residual_norm > rep.tolerance
 
 
@@ -895,7 +896,9 @@ def test_rounding_size_step_far_above_floor_does_not_stop(monkeypatch):
     monkeypatch.setattr(solver._LinearSolves, "solve", tiny_step)
     rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip(),
                           config=SolveConfig(max_iters=2))
-    assert not rep.converged and rep.stop_reason == "max-iters"
+    # the line search rejects the step, as it barely moves the residual
+    assert not rep.converged and rep.stop_reason == "stalled"
+    assert rep.damping_history == [0.0]
     assert rep.residual_norm > 1e-3
 
 
@@ -911,6 +914,18 @@ def test_large_step_under_floor_does_not_stop(monkeypatch):
                         lambda self, J, rhs, newton: np.full(rhs.shape, 1e-3))
     rep = solve_dirichlet(model, dom, init=done.u,
                           config=SolveConfig(tol_factor=0.0, max_iters=1))
-    # the large step was rejected, never taken, and a Picard sweep replaced it
-    assert rep.damping_history == [0.0] and rep.picard_sweeps == 1
-    assert not rep.converged and rep.stop_reason == "max-iters"
+    # the large step was rejected, never taken, and the solve stopped there
+    assert rep.damping_history == [0.0]
+    assert not rep.converged and rep.stop_reason == "stalled"
+
+
+def test_jump_data_stops_at_rounding_floor():
+    # data +-500 for x >< 0: near the jump the Jacobian is ill-conditioned,
+    # so the last Newton step stays far above rounding size while the
+    # residual and the step's predicted change of it are under the floor
+    dom = GridDomain.rectangle(-1, 1, -1, 1, 1 / 32,
+                               boundary=lambda x, y: np.where(x > 0, 500.0, -500.0))
+    rep = solve_dirichlet(builtin_model("euclidean"), dom, config=SolveConfig(max_iters=40))
+    assert rep.converged and rep.stop_reason == "rounding-floor"
+    assert rep.start == "coarse" and rep.iterations <= 30
+    assert rep.residual_norm > rep.tolerance
