@@ -241,11 +241,11 @@ def cmd_growth(cfg: dict, args) -> int:
         mf = expr_field(gc["mask"])
         mask = lambda x, y: mf.value(x, y) > 0.0
     p = tuple(gc.get("p", (0.0, 0.0)))
+    n_arc = int(gc.get("n_arc", 512))
     prof = growth.g_of_r(model, p, float(_need(gc, "r0", "growth")),
                          float(_need(gc, "r_max", "growth")),
                          n_radii=int(gc.get("n_radii", 200)),
-                         variant=gc.get("variant", "plain"), mask=mask,
-                         n_arc=int(gc.get("n_arc", 512)))
+                         variant=gc.get("variant", "plain"), mask=mask, n_arc=n_arc)
     # the profile holds its own variant's L; compute only the other one
     plain = prof.variant == "plain"
     other = [(growth.L_weighted if plain else growth.L_plain)(model, a) for a in prof.arcs]
@@ -256,6 +256,10 @@ def cmd_growth(cfg: dict, args) -> int:
     _write_json(out / "growth.json", {
         "p": list(prof.p), "variant": prof.variant, "verdict": prof.verdict,
         "g_final": float(prof.g[-1]), "n_radii": len(prof.radii),
+        # the first radius whose arc kept enough samples, and what the mask
+        # dropped from the arc at each radius used
+        "r0": float(prof.radii[0]),
+        "dropped_arc_samples": [n_arc - len(a.points) for a in prof.arcs],
     })
     print(f"growth: verdict {prof.verdict}, g({prof.radii[-1]:g}) = {prof.g[-1]:.9g}; "
           f"wrote {out/'growth.csv'}")

@@ -226,6 +226,8 @@ def g_of_r(model: MetricModel, p, r0: float, r_max: float, n_radii: int = 200,
     """
     if not r_max > r0 > 0:
         raise ValueError("need r_max > r0 > 0")
+    if n_radii < 4:
+        raise ValueError(f"need n_radii >= 4, got {n_radii}")
     L_fn = L_plain if variant == "plain" else L_weighted
     if variant not in ("plain", "weighted"):
         raise ValueError("variant must be 'plain' or 'weighted'")

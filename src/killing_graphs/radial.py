@@ -6,10 +6,12 @@ giving the one-parameter slope family
 
     u_c'(r) = 1 / sqrt(c r^2 mu(r)^4 - mu(r)^2),     c >= 1  (+ branch).
 
-The quadrature handles the inverse-square-root endpoint singularity that
-appears when the graph leaves the inner boundary vertically, classifies
-boundedness of the profiles, and evaluates the rotational CMC profile in
-the hyperbolic-base unit-Killing-field space.
+Every finite integral of it is one vectorized adaptive Gauss-Kronrod call
+with the substitution s = a + (b - a) t^2 on every interval, which absorbs
+the inverse-sqrt singularity where the graph leaves the inner boundary
+vertically; the tail is one ``quad`` call, whose failure reports ``inf``.
+The module also classifies boundedness of the profiles and evaluates the
+rotational CMC profile in the hyperbolic-base unit-Killing-field space.
 """
 
 from __future__ import annotations
@@ -71,40 +73,41 @@ def _quad(f, a, b):
     return val, err
 
 
+def _interval_integrals(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integrals of f over every [a_k, b_k] in one adaptive Gauss-Kronrod call
+    over t in [0, 1], mapped by s = a + (b - a) t^2: an inverse-sqrt
+    singularity at a left end becomes a smooth integrand."""
+    if len(a) == 0:
+        return np.zeros(0)
+    w = b - a
+    val, _ = integrate.quad_vec(lambda t: 2.0 * t * w * f(a + w * t * t), 0.0, 1.0,
+                                epsabs=1e-12, epsrel=1e-12, limit=400, norm="max")
+    return val
+
+
+def _slope_fn(c: float, mu_fn: Callable) -> Callable:
+    return lambda s: 1.0 / np.sqrt(_radicand(c, s, mu_fn))
+
+
 def radial_profile(c: float, mu, r0: float = 1.0, r1: float = 2.0,
                    n_samples: int = 50) -> RadialProfile:
     """Quadrature of the + branch slope from r0, sampled at n_samples radii.
 
-    A vanishing radicand at r0 (vertical tangent at the inner boundary) is
-    integrable; the substitution s = r0 + t^2 removes the 1/sqrt singularity.
-    A nonpositive radicand in the open interior means c is invalid.
+    A vanishing radicand at r0 (vertical tangent) is integrable; a
+    nonpositive one in the open interior means c is invalid.  The tail beyond
+    r1 is one ``quad`` call, and its failure reports ``inf``.
     """
     if c < 1.0:
         raise ValueError("c < 1 rejected: the slope family needs c >= 1")
-    if not r1 > r0 >= 0.0:
-        raise ValueError("need r1 > r0 >= 0")
+    if not (r1 > r0 >= 0.0 and n_samples >= 1):
+        raise ValueError(f"need r1 > r0 >= 0 and n_samples >= 1, got n_samples={n_samples}")
     mu_fn = as_radial(mu)
     radii = np.linspace(r0, r1, n_samples)
     probe = np.linspace(r0, r1, 4 * n_samples + 1)[1:]
     if np.any(_radicand(c, probe, mu_fn) <= 0.0):
         raise VerticalSlopeError("radicand nonpositive in the interior (invalid c)")
-
-    def slope(s):
-        return 1.0 / np.sqrt(_radicand(c, s, mu_fn))
-
-    rad0 = float(_radicand(c, r0, mu_fn))
-    scale = float(_radicand(c, r1, mu_fn))
-    singular_start = rad0 <= 1e-12 * max(1.0, scale)
-
-    values = np.zeros(n_samples)
-    for k in range(1, n_samples):
-        a, b = radii[k - 1], radii[k]
-        if k == 1 and singular_start:
-            # s = r0 + t^2 turns the inverse-sqrt endpoint into a smooth integrand
-            val, _ = _quad(lambda t: 2.0 * t * slope(r0 + t * t), 0.0, np.sqrt(b - a))
-        else:
-            val, _ = _quad(slope, a, b)
-        values[k] = values[k - 1] + val
+    slope = _slope_fn(c, mu_fn)
+    values = np.concatenate([[0.0], np.cumsum(_interval_integrals(slope, radii[:-1], radii[1:]))])
 
     tail, tail_err = _quad(slope, r1, np.inf)
     if not np.isfinite(tail) or tail_err > 1e-6 * (1.0 + abs(tail)):
@@ -141,18 +144,13 @@ def boundedness_classify(mu, c: float, r_max: float = 1e6) -> BoundednessVerdict
     (bounded); non-decreasing increments mean divergence; anything else is
     inconclusive.
     """
-    mu_fn = as_radial(mu)
-
-    def slope(s):
-        return 1.0 / np.sqrt(_radicand(c, s, mu_fn))
-
     pts = [2.0]
     while pts[-1] ** 1.5 <= r_max:
         pts.append(pts[-1] ** 1.5)
     pts = np.asarray(pts)
     if len(pts) < 4:
         return BoundednessVerdict("inconclusive", pts, np.array([]), np.array([]))
-    incs = np.array([_quad(slope, a, b)[0] for a, b in zip(pts[:-1], pts[1:])])
+    incs = _interval_integrals(_slope_fn(c, as_radial(mu)), pts[:-1], pts[1:])
     ratios, decays = _tail_ratios(incs)
     if decays:
         verdict = "bounded"

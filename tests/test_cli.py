@@ -157,6 +157,41 @@ def test_growth_verdict_and_footer(tmp_path):
     assert g_final == pytest.approx(np.log(100.0) / (2 * np.pi), rel=1e-3)
 
 
+def test_growth_json_records_effective_r0_and_dropped_samples(tmp_path):
+    # the half-plane y > 1/2 misses the small circles: the first radius whose
+    # arc keeps 8 of its 64 samples becomes the effective r0
+    cfg = write_cfg(tmp_path, {
+        "model": {"preset": "euclidean"},
+        "growth": {"p": [0, 0], "r0": 0.1, "r_max": 20.0, "n_radii": 40,
+                   "n_arc": 64, "mask": "y - 0.5"},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["growth", "--config", cfg]) == 0
+    rep = json.loads((tmp_path / "out" / "growth.json").read_text())
+    written = [float(row[0]) for row in read_csv(tmp_path / "out" / "growth.csv")[1:-1]]
+    radii = np.geomspace(0.1, 20.0, 40)
+    phis = 2 * np.pi * (np.arange(64) + 0.5) / 64
+    kept = [int(np.sum(r * np.sin(phis) > 0.5)) for r in radii]
+    first = next(k for k, n in enumerate(kept) if n >= 8)
+    assert first > 0 and rep["r0"] == written[0]
+    assert rep["r0"] == pytest.approx(radii[first], rel=1e-15)
+    assert rep["dropped_arc_samples"] == [64 - n for n in kept[first:]]
+    assert rep["n_radii"] == len(written) == 40 - first
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("radial", {"radial": {"mu": "r", "c": 2.0, "r0": 1.0, "r1": 2.0, "n_samples": 0}},
+     "n_samples"),
+    ("growth", {"model": {"preset": "euclidean"},
+                "growth": {"r0": 1.0, "r_max": 10.0, "n_radii": 0}}, "n_radii"),
+])
+def test_no_samples_is_a_config_error(tmp_path, capsys, command, cfg, key):
+    path = write_cfg(tmp_path, {**cfg, "output": {"dir": str(tmp_path / "out")}})
+    assert main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+
+
 def test_experiment_iterated_log(tmp_path):
     cfg = write_cfg(tmp_path, {
         "experiment": {"levels": [0, 1, 2], "x0": 16.0, "n_windows": 16},

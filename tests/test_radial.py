@@ -40,6 +40,19 @@ def test_profile_mu_r_c1():
     assert prof.values[0] == 0.0
     assert prof.values[-1] == pytest.approx(0.5 * np.arctan(np.sqrt(15.0)), abs=1e-10)
     assert np.max(np.abs(prof.values - arctan_closed_form(1.0, prof.radii))) <= 1e-9
+    # near-vertical starts: the slope is (c - 1)^(-1/2) at r0 and falls to
+    # ~(4 (r - r0))^(-1/2) within a layer of width ~(c - 1) there
+    for c in (1.0 + 1e-14, 1.0 + 1e-12, 1.0 + 1e-10, 1.0 + 1e-8):
+        prof = radial_profile(c, "r", 1.0, 2.0, 50)
+        assert np.max(np.abs(prof.values - arctan_closed_form(c, prof.radii))) <= 1e-9
+
+
+def test_single_sample_profile():
+    # one sample: u(r0) = 0, and the sup estimate adds the tail beyond r1 to
+    # u at the last sample, r0 here, so [r0, r1] is left out
+    prof = radial_profile(2.0, "r", 1.0, 2.0, 1)
+    assert prof.values.tolist() == [0.0]
+    assert prof.sup_estimate == pytest.approx(0.08885530042255586, rel=1e-12)
 
 
 def test_profile_sup_estimates():
