@@ -33,8 +33,8 @@ from .expressions import ExprDomainError
 from .fields import as_field, expr_field
 from .grids import GridDomain
 from .models import MetricModel, Rect, builtin_model
-from .operator import AssemblyCache, mean_curvature_residual
-from .solver import SolveConfig, solve_dirichlet
+from .operator import NodeFields
+from .solver import SolveConfig, SolveReport, solve_dirichlet
 
 EXPERIMENT_NAMES = ("nil-strip", "removable-singularity", "collin-krust-fit",
                     "sol3-wedge", "e1tau-growth", "iterated-log")
@@ -170,27 +170,11 @@ def _write_json(path: Path, obj):
         fh.write("\n")
 
 
-# ---------------------------------------------------------------------------
-# Subcommands
-
-def cmd_solve(cfg: dict, args) -> int:
-    model = _build_model(cfg)
-    dom = _build_domain(cfg)
-    H = cfg.get("H")
-    scfg = _solver_config(cfg)
-    out = _out_dir(cfg, args)
-
-    cache = AssemblyCache(model, dom)
-    rep = solve_dirichlet(model, dom, H=H, config=scfg, cache=cache)
-    res = mean_curvature_residual(model, rep.u, H=H, cache=cache)
-    G1, G2 = cache.gradient_arrays(rep.u.values)
-    W = np.sqrt(1.0 + cache.MU ** 2 * (G1 ** 2 + G2 ** 2))
-    NU = cache.MU / W
-    X, Y = dom.coords()
-    m = dom.interior_mask()
-    rows = np.column_stack([X[m], Y[m], rep.u.values[m], W[m], NU[m], res.values[m]])
-    _write_csv(out / "solution.csv", ["x", "y", "u", "W", "nu", "residual"], rows)
-    _write_json(out / "report.json", {
+def _solve_record(rep: SolveReport, prefix: str = "") -> dict:
+    """The JSON record of one solve, every key led by ``prefix``:
+    ``report.json`` is this record, and each experiment run holds one per
+    solve beside its own keys."""
+    record = {
         "converged": rep.converged,
         "stop_reason": rep.stop_reason,
         "start": rep.start,
@@ -204,8 +188,31 @@ def cmd_solve(cfg: dict, args) -> int:
         "damping_history": rep.damping_history,
         "message": rep.message,
         "runtime_seconds": rep.runtime,
-        "unknowns": int(np.sum(dom.interior_mask())),
-    })
+        "unknowns": int(np.sum(rep.u.domain.interior_mask())),
+    }
+    return {prefix + k: v for k, v in record.items()}
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+
+def cmd_solve(cfg: dict, args) -> int:
+    model = _build_model(cfg)
+    dom = _build_domain(cfg)
+    H = cfg.get("H")
+    scfg = _solver_config(cfg)
+    out = _out_dir(cfg, args)
+
+    rep = solve_dirichlet(model, dom, H=H, config=scfg)
+    nf = NodeFields(model, dom)
+    G1, G2 = nf.gradient_arrays(rep.u.values)
+    W = np.sqrt(1.0 + nf.MU ** 2 * (G1 ** 2 + G2 ** 2))
+    NU = nf.MU / W
+    m = dom.interior_mask()
+    rows = np.column_stack([nf.X[m], nf.Y[m], rep.u.values[m], W[m], NU[m],
+                            rep.residual.values[m]])
+    _write_csv(out / "solution.csv", ["x", "y", "u", "W", "nu", "residual"], rows)
+    _write_json(out / "report.json", _solve_record(rep))
     if not rep.converged:
         print(f"solve: NOT converged ({rep.message}); residual {rep.residual_norm:.3e} "
               f"> tolerance {rep.tolerance:.3e}", file=sys.stderr)
@@ -293,10 +300,7 @@ def _exp_nil_strip(cfg, out):
         "strictly_decreasing": all(b < a for a, b in zip(sups, sups[1:])),
         "barrier_comparison_passed": rep.barrier_ok,
         "note": rep.note,
-        "runs": [{"n": r.n, "converged": r.converged,
-                  "stop_reason": r.report.stop_reason,
-                  "start": r.report.start,
-                  "coarse_iterations": r.report.coarse_iterations} for r in rep.runs],
+        "runs": [{"n": r.n, **_solve_record(r.report)} for r in rep.runs],
     })
     print(f"nil-strip: core sups {['%.6g' % s for s in sups]}; wrote {out/'nil_strip.csv'}")
     return _experiment_exit("nil-strip", [r.converged for r in rep.runs])
@@ -330,21 +334,13 @@ def _exp_removable(cfg, out):
         "case": case,
         "differences": [r.max_difference for r in rep.runs],
         "monotone_decay": rep.monotone_decay,
-        "runs": [{"h": r.h,
-                  "full_converged": r.full_converged,
-                  "full_stop_reason": r.full_stop_reason,
-                  "full_start": r.full_start,
-                  "full_coarse_iterations": r.full_coarse_iterations,
-                  "punctured_converged": r.punctured_converged,
-                  "punctured_stop_reason": r.punctured_stop_reason,
-                  "punctured_start": r.punctured_start,
-                  "punctured_coarse_iterations": r.punctured_coarse_iterations}
-                 for r in rep.runs],
+        "runs": [{"h": r.h, **_solve_record(r.full, "full_"),
+                  **_solve_record(r.punctured, "punctured_")} for r in rep.runs],
     })
     print(f"removable-singularity[{case}]: diffs "
           f"{['%.3e' % r.max_difference for r in rep.runs]}, monotone={rep.monotone_decay}")
     return _experiment_exit("removable-singularity",
-                            [c for r in rep.runs for c in (r.full_converged, r.punctured_converged)])
+                            [s.converged for r in rep.runs for s in (r.full, r.punctured)])
 
 
 def _exp_ck_fit(cfg, out):

@@ -9,14 +9,14 @@ drift apart as the lattice refines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .grids import GridDomain
 from .models import MetricModel, builtin_model
-from .solver import SolveConfig, solve_dirichlet
+from .solver import SolveConfig, SolveReport, solve_dirichlet
 
 _TOL_FACTOR = 1e-13  # default tol_factor of the puncture experiments, API and CLI alike
 _HS = (1 / 16, 1 / 32, 1 / 64)  # default lattice steps of the puncture experiments, likewise
@@ -27,16 +27,8 @@ class PunctureRun:
     h: float
     node: tuple
     max_difference: float
-    full_iterations: int
-    punctured_iterations: int
-    full_converged: bool
-    punctured_converged: bool
-    full_stop_reason: str
-    punctured_stop_reason: str
-    full_start: str
-    punctured_start: str
-    full_coarse_iterations: List[int]
-    punctured_coarse_iterations: List[int]
+    full: SolveReport = field(repr=False)
+    punctured: SolveReport = field(repr=False)
 
 
 @dataclass
@@ -75,15 +67,7 @@ def removable_singularity_experiment(model: MetricModel,
         if rep_full.converged and rep_p.converged:
             diff = float(np.max(np.abs(rep_full.u.values[mask] - rep_p.u.values[mask])))
         runs.append(PunctureRun(h=h, node=node, max_difference=diff,
-                                full_iterations=rep_full.iterations,
-                                punctured_iterations=rep_p.iterations,
-                                full_converged=rep_full.converged,
-                                punctured_converged=rep_p.converged,
-                                full_stop_reason=rep_full.stop_reason,
-                                punctured_stop_reason=rep_p.stop_reason,
-                                full_start=rep_full.start, punctured_start=rep_p.start,
-                                full_coarse_iterations=rep_full.coarse_iterations,
-                                punctured_coarse_iterations=rep_p.coarse_iterations))
+                                full=rep_full, punctured=rep_p))
     diffs = [r.max_difference for r in runs]
     monotone = (all(np.isfinite(diffs))
                 and all(b < a for a, b in zip(diffs[:-1], diffs[1:])))

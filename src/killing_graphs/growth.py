@@ -202,9 +202,6 @@ class GrowthProfile:
     variant: str
     verdict: str
     arcs: List[GeodesicArc] = field(repr=False, default_factory=list)
-    M: Optional[np.ndarray] = None
-    window_increments: Optional[np.ndarray] = None
-    window_ratios: Optional[np.ndarray] = None
 
 
 _MIN_ARC_SAMPLES = 8   # a masked arc with fewer samples is not integrated
@@ -252,10 +249,9 @@ def g_of_r(model: MetricModel, p, r0: float, r_max: float, n_radii: int = 200,
     Ls = np.asarray(Ls)
     invL = 1.0 / Ls
     g = _cumulative_trapezoid(invL, used)
-    verdict, incs, ratios = window_verdict(used, g)
+    verdict = window_verdict(used, g)[0]
     return GrowthProfile(p=(float(p[0]), float(p[1])), radii=used, L=Ls, g=g,
-                         variant=variant, verdict=verdict, arcs=arcs,
-                         window_increments=incs, window_ratios=ratios)
+                         variant=variant, verdict=verdict, arcs=arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -406,24 +402,20 @@ def _as_point_eval(u) -> Callable:
 
 def collin_krust_rate(u, v, profile: GrowthProfile) -> CollinKrustFit:
     """Per-radius sup of |u - v| over the profile's arcs and the least-squares
-    slope of M against g.  Radii whose arcs miss both fields are skipped.
-    The computed M samples are also attached to the profile."""
+    slope of M against g.  Radii whose arcs miss both fields are skipped."""
     ue, ve = _as_point_eval(u), _as_point_eval(v)
     M, g, radii = [], [], []
-    M_full = np.full(len(profile.radii), np.nan)
-    for k, (arc, gval, r) in enumerate(zip(profile.arcs, profile.g, profile.radii)):
+    for arc, gval, r in zip(profile.arcs, profile.g, profile.radii):
         du = np.abs(ue(arc.points[:, 0], arc.points[:, 1])
                     - ve(arc.points[:, 0], arc.points[:, 1]))
         du = du[np.isfinite(du)]
         if len(du) == 0:
             continue
-        M_full[k] = float(np.max(du))
-        M.append(M_full[k])
+        M.append(float(np.max(du)))
         g.append(float(gval))
         radii.append(float(r))
     if len(M) < 2:
         raise ValueError("fewer than 2 usable radii for the rate fit")
-    profile.M = M_full
     M = np.asarray(M)
     g = np.asarray(g)
     A = np.vstack([g, np.ones_like(g)]).T

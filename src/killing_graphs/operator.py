@@ -331,6 +331,12 @@ class AssemblyCache(NodeFields):
         F[self.bridge_rows] = u_flat[p] - 0.5 * (u_flat[q1] + u_flat[q2])
         return F
 
+    def interior_grid(self, F: np.ndarray) -> ScalarGrid:
+        """The PDE rows of a :meth:`residual` on the lattice, NaN elsewhere."""
+        out = np.full(self.dom.shape, np.nan)
+        out.ravel()[self.flat_unknown[self.pde_row_mask]] = F[self.pde_row_mask]
+        return raw_grid(self.dom, out)
+
     def jacobian(self, u_grid: np.ndarray, frozen_W: Optional[list] = None) -> sp.csr_matrix:
         """Exact Jacobian of :meth:`residual`.
 
@@ -457,17 +463,10 @@ def nodal_rhs(model: MetricModel, dom: GridDomain, H=None) -> np.ndarray:
     return out
 
 
-def mean_curvature_residual(model: MetricModel, u: ScalarGrid, H=None,
-                            cache: Optional[AssemblyCache] = None) -> ScalarGrid:
+def mean_curvature_residual(model: MetricModel, u: ScalarGrid, H=None) -> ScalarGrid:
     """Flux-form residual F(u) at interior nodes (NaN elsewhere).
 
     Solutions of the prescribed-curvature problem satisfy F(u) = 0.
     """
-    if cache is None:
-        cache = AssemblyCache(model, u.domain)
-    rhs = nodal_rhs(model, u.domain, H)
-    F = cache.residual(u.values, rhs)
-    out = np.full(u.domain.shape, np.nan)
-    flat = cache.flat_unknown[cache.pde_row_mask]
-    out.ravel()[flat] = F[cache.pde_row_mask]
-    return raw_grid(u.domain, out)
+    cache = AssemblyCache(model, u.domain)
+    return cache.interior_grid(cache.residual(u.values, nodal_rhs(model, u.domain, H)))

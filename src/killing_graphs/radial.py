@@ -95,7 +95,8 @@ def radial_profile(c: float, mu, r0: float = 1.0, r1: float = 2.0,
 
     A vanishing radicand at r0 (vertical tangent) is integrable; a
     nonpositive one in the open interior means c is invalid.  The tail beyond
-    r1 is one ``quad`` call, and its failure reports ``inf``.
+    the last sample (r1, or r0 when ``n_samples`` is 1) is one ``quad``
+    call, and its failure reports ``inf``.
     """
     if c < 1.0:
         raise ValueError("c < 1 rejected: the slope family needs c >= 1")
@@ -109,7 +110,7 @@ def radial_profile(c: float, mu, r0: float = 1.0, r1: float = 2.0,
     slope = _slope_fn(c, mu_fn)
     values = np.concatenate([[0.0], np.cumsum(_interval_integrals(slope, radii[:-1], radii[1:]))])
 
-    tail, tail_err = _quad(slope, r1, np.inf)
+    tail, tail_err = _quad(slope, radii[-1], np.inf)
     if not np.isfinite(tail) or tail_err > 1e-6 * (1.0 + abs(tail)):
         sup = np.inf
     else:

@@ -100,7 +100,11 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
+    """What one solve returns: the last iterate ``u``, its residual F(u) at
+    the interior nodes (NaN elsewhere, as :func:`mean_curvature_residual`
+    gives it), why the solve stopped and what it spent."""
     u: ScalarGrid
+    residual: ScalarGrid
     converged: bool
     iterations: int
     residual_norm: float
@@ -280,8 +284,7 @@ def _runaway(vec: np.ndarray, F: np.ndarray, scale: float) -> str:
 
 def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
                     config: Optional[SolveConfig] = None,
-                    init: Optional[ScalarGrid] = None,
-                    cache: Optional[AssemblyCache] = None) -> SolveReport:
+                    init: Optional[ScalarGrid] = None) -> SolveReport:
     """Solve the prescribed-mean-curvature Dirichlet problem on ``dom``.
 
     Damped Newton iteration: a backtracking line search on each step, and
@@ -293,9 +296,15 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
     one; else one Picard solve with the area element frozen at the
     zero-section value W0 = sqrt(1 + mu^2 (a^2 + b^2)).  A warm start takes
     at least one Newton step.
+
+    The report's ``residual`` is F at the returned iterate ``u``, bit for
+    bit what ``mean_curvature_residual(model, report.u, H)`` recomputes;
+    ``residual_norm`` is the max of |F| over the unknowns, bridge rows
+    included.
     """
     t0 = time.perf_counter()
     cfg = config or SolveConfig()
+    cache = AssemblyCache(model, dom)
     start = "picard" if init is None else "given"
     coarse_iterations: List[int] = []
     coarse = _coarse_domain(dom) if init is None else None
@@ -305,8 +314,6 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
         coarse_iterations = crep.coarse_iterations + [crep.iterations]
         if crep.converged:
             init, start = crep.u.transfer(dom), "coarse"
-    if cache is None:
-        cache = AssemblyCache(model, dom)
     rhs = nodal_rhs(model, dom, H)
     tol = cfg.tol_factor * (1.0 + float(np.max(np.abs(rhs[dom.carried()]))))
 
@@ -387,8 +394,8 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
     if stop_reason == "max-iters":
         message = f"no convergence in {cfg.max_iters} iterations"
 
-    sol = raw_grid(dom, u)
-    return SolveReport(u=sol, converged=converged, iterations=iters,
+    return SolveReport(u=raw_grid(dom, u), residual=cache.interior_grid(F),
+                       converged=converged, iterations=iters,
                        residual_norm=fnorm, tolerance=tol,
                        damping_history=damping,
                        message=message, runtime=time.perf_counter() - t0,

@@ -299,6 +299,35 @@ def test_experiment_removable_small(tmp_path):
         assert r["full_coarse_iterations"] == r["punctured_coarse_iterations"] == []
 
 
+def test_experiment_runs_carry_the_solve_report_keys(tmp_path):
+    # one record per solve: report.json's keys, with nil-strip's n and
+    # removable-singularity's h and full_/punctured_ prefixes
+    solve_cfg = write_cfg(tmp_path, {
+        "model": {"preset": "nil3", "params": [0.5]},
+        "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
+        "boundary": "x*y", "output": {"dir": str(tmp_path / "solve")},
+    }, "solve.json")
+    assert main(["solve", "--config", solve_cfg]) == 0
+    keys = set(json.loads((tmp_path / "solve" / "report.json").read_text()))
+    strip_cfg = write_cfg(tmp_path, {
+        "experiment": {"n_list": [2, 3], "h": 0.125},
+        "output": {"dir": str(tmp_path / "strip")},
+    }, "strip.json")
+    assert main(["experiment", "nil-strip", "--config", strip_cfg]) == 0
+    removable_cfg = write_cfg(tmp_path, {
+        "experiment": {"case": "disk", "hs": [0.125]},
+        "output": {"dir": str(tmp_path / "removable")},
+    }, "removable.json")
+    assert main(["experiment", "removable-singularity", "--config", removable_cfg]) == 0
+    strip = json.loads((tmp_path / "strip" / "nil_strip.json").read_text())
+    run, = json.loads((tmp_path / "removable" / "removable_singularity.json").read_text())["runs"]
+    assert "picard_sweeps" not in keys and "converged" in keys and "unknowns" in keys
+    assert [set(r) for r in strip["runs"]] == [keys | {"n"}] * 2
+    assert set(run) == ({"h"} | {"full_" + k for k in keys}
+                        | {"punctured_" + k for k in keys})
+    assert run["punctured_start"] == "given" and run["punctured_iterations"] >= 1
+
+
 @pytest.mark.filterwarnings("error")
 def test_experiment_removable_nonconvergence_exit_2(tmp_path):
     # H too large for the square: no graph solution, so no solve converges;

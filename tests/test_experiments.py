@@ -40,7 +40,7 @@ def test_disk_puncture_decays():
     rep = run_disk_puncture(hs=(1 / 8, 1 / 16, 1 / 32))
     assert rep.monotone_decay
     assert rep.runs[0].max_difference > 1e-6  # genuinely nonzero study
-    assert all(r.full_converged and r.punctured_converged for r in rep.runs)
+    assert all(r.full.converged and r.punctured.converged for r in rep.runs)
 
 
 def test_sol3_puncture_invisible():
@@ -48,9 +48,9 @@ def test_sol3_puncture_invisible():
     assert rep.runs[0].max_difference <= 1e-8
     # tol_factor 1e-13 lies under this lattice's rounding floor
     run = rep.runs[0]
-    assert run.full_converged and run.punctured_converged
-    assert run.full_stop_reason == run.punctured_stop_reason == "rounding-floor"
-    assert run.full_start == "picard" and run.punctured_start == "given"
+    assert run.full.converged and run.punctured.converged
+    assert run.full.stop_reason == run.punctured.stop_reason == "rounding-floor"
+    assert run.full.start == "picard" and run.punctured.start == "given"
 
 
 def test_custom_experiment_runner():

@@ -48,11 +48,11 @@ def test_profile_mu_r_c1():
 
 
 def test_single_sample_profile():
-    # one sample: u(r0) = 0, and the sup estimate adds the tail beyond r1 to
-    # u at the last sample, r0 here, so [r0, r1] is left out
+    # one sample: u(r0) = 0, and the tail runs from that sample, r0, so the
+    # sup estimate is the whole integral pi/4 - arctan(sqrt(c - 1))/2
     prof = radial_profile(2.0, "r", 1.0, 2.0, 1)
     assert prof.values.tolist() == [0.0]
-    assert prof.sup_estimate == pytest.approx(0.08885530042255586, rel=1e-12)
+    assert prof.sup_estimate == pytest.approx(np.pi / 8, abs=1e-12)
 
 
 def test_profile_sup_estimates():

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 from killing_graphs import solver
 from killing_graphs.grids import GridDomain, ScalarGrid, coincident_nodes
 from killing_graphs.models import builtin_model
-from killing_graphs.operator import AssemblyCache
+from killing_graphs.operator import AssemblyCache, mean_curvature_residual
 from killing_graphs.solver import (SolveConfig, check_max_principle,
                                    exhaustion_solve, solve_dirichlet)
 from killing_graphs.nil import strip_truncation_domain
@@ -115,6 +115,31 @@ def test_rejected_step_stops_as_stalled(monkeypatch):
     assert not rep.converged and rep.stop_reason == "stalled"
     assert rep.iterations == 1 and rep.damping_history == [0.0]
     assert f"max|F| = {rep.residual_norm:.3e}" in rep.message
+
+
+@pytest.mark.parametrize("case", ["converged", "stalled", "diverged"])
+def test_report_residual_is_the_residual_of_its_iterate(case, monkeypatch):
+    # the residual the solve ends on, at the iterate it returns, and nothing
+    # the caller has to recompute: the same bits, NaN off the interior
+    if case == "converged":
+        model, H = builtin_model("nil3", (0.5,)), "0.3"
+        dom = GridDomain.rectangle(-1, 1, -1, 1, 1 / 8, boundary=lambda x, y: x * y)
+        dom = dom.with_puncture(dom.nearest_node((0.25, 0.25)))
+    elif case == "stalled":
+        monkeypatch.setattr(solver, "_MIN_STEP", 2.0)
+        model, H, dom = builtin_model("nil3", (0.5,)), None, _clamped_strip()
+    else:
+        model, H = builtin_model("euclidean"), "5.0"
+        dom = GridDomain.rectangle(-1, 1, -1, 1, 1 / 8)
+    rep = solve_dirichlet(model, dom, H=H, config=SolveConfig(tol_factor=1e-13))
+    assert rep.stop_reason in {"converged": ("tolerance", "rounding-floor"),
+                               "stalled": ("stalled",), "diverged": ("diverged",)}[case]
+    res = mean_curvature_residual(model, rep.u, H)
+    assert rep.residual.domain is rep.u.domain
+    assert rep.residual.values.tobytes() == res.values.tobytes()
+    assert np.array_equal(np.isnan(rep.residual.values), ~dom.interior_mask())
+    # residual_norm also covers the bridge rows, which the grid leaves out
+    assert np.nanmax(np.abs(rep.residual.values)) <= rep.residual_norm
 
 
 @pytest.mark.filterwarnings("error")
