@@ -188,7 +188,7 @@ def _solve_record(rep: SolveReport, prefix: str = "") -> dict:
         "damping_history": rep.damping_history,
         "message": rep.message,
         "runtime_seconds": rep.runtime,
-        "unknowns": int(np.sum(rep.u.domain.interior_mask())),
+        "unknowns": int(np.sum(rep.u.domain.unknown_mask())),
     }
     return {prefix + k: v for k, v in record.items()}
 

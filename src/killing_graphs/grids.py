@@ -91,6 +91,10 @@ class GridDomain:
     def interior_mask(self):
         return self.status == INTERIOR
 
+    def unknown_mask(self):
+        """The nodes a solve on this lattice solves for: interior and bridge."""
+        return (self.status == INTERIOR) | (self.status == BRIDGE)
+
     # -- construction ------------------------------------------------------
 
     @staticmethod

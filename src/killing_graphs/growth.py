@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .grids import ScalarGrid
 from .models import MetricModel
@@ -158,11 +159,6 @@ def L_weighted(model: MetricModel, arc: GeodesicArc) -> float:
 # ---------------------------------------------------------------------------
 # Divergence verdicts on dyadic windows
 
-def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of y over x, starting from 0 at x[0]."""
-    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
-
-
 _EPS0 = 1e-3   # a dyadic-window increment of g this large counts as growth
 
 
@@ -248,7 +244,7 @@ def g_of_r(model: MetricModel, p, r0: float, r_max: float, n_radii: int = 200,
     used = np.asarray(used)
     Ls = np.asarray(Ls)
     invL = 1.0 / Ls
-    g = _cumulative_trapezoid(invL, used)
+    g = cumulative_trapezoid(invL, used, initial=0)
     verdict = window_verdict(used, g)[0]
     return GrowthProfile(p=(float(p[0]), float(p[1])), radii=used, L=Ls, g=g,
                          variant=variant, verdict=verdict, arcs=arcs)
@@ -323,7 +319,7 @@ def sol3_wedge_divergence(theta1: float, theta2: float, rho0: float = 1.0,
     """Integrate the g' lower bound over [rho0, rho_max] and classify."""
     rhos = np.linspace(rho0, rho_max, n)
     gp = np.array([sol3_wedge_bound(theta1, theta2, r).g_lower_integrand for r in rhos])
-    g = _cumulative_trapezoid(gp, rhos)
+    g = cumulative_trapezoid(gp, rhos, initial=0)
     verdict, incs, ratios = window_verdict(rhos, g)
     return verdict, rhos, g
 
@@ -373,7 +369,7 @@ def e1tau_g(H: float, tau: float, domain_kind: str, r0: float, r_max: float,
     """Cumulative g over [r0, r_max] by trapezoid on a dense grid."""
     rs = np.linspace(r0, r_max, n)
     gp = np.array([e1tau_growth(H, tau, domain_kind, float(r)).g_prime for r in rs])
-    g = _cumulative_trapezoid(gp, rs)
+    g = cumulative_trapezoid(gp, rs, initial=0)
     return rs, g
 
 

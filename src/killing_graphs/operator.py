@@ -131,9 +131,8 @@ class AssemblyCache(NodeFields):
         self.n1, self.n0 = n1, n0
         st = dom.status
 
-        self.unknown_mask = (st == INTERIOR) | (st == BRIDGE)
         self.unknown_ids = np.full(n1 * n0, -1, dtype=np.int64)
-        flat_unknown = np.nonzero(self.unknown_mask.ravel())[0]
+        flat_unknown = np.nonzero(dom.unknown_mask().ravel())[0]
         self.unknown_ids[flat_unknown] = np.arange(flat_unknown.size)
         self.n_unknowns = flat_unknown.size
         self.flat_unknown = flat_unknown

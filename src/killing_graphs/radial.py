@@ -25,6 +25,8 @@ from scipy import integrate
 
 from . import expressions as ex
 
+_EPS = float(np.finfo(float).eps)
+
 
 class VerticalSlopeError(ValueError):
     """Radicand <= 0: the profile is vertical (or c is invalid) there."""
@@ -93,16 +95,25 @@ def radial_profile(c: float, mu, r0: float = 1.0, r1: float = 2.0,
                    n_samples: int = 50) -> RadialProfile:
     """Quadrature of the + branch slope from r0, sampled at n_samples radii.
 
-    A vanishing radicand at r0 (vertical tangent) is integrable; a
-    nonpositive one in the open interior means c is invalid.  The tail beyond
-    the last sample (r1, or r0 when ``n_samples`` is 1) is one ``quad``
-    call, and its failure reports ``inf``.
+    A vanishing radicand at r0 (vertical tangent), zero up to its rounding
+    error, is integrable; a negative one at r0, or a nonpositive one in the
+    open interior, means c is invalid and raises VerticalSlopeError.  The
+    tail beyond the last sample (r1, or r0 when ``n_samples`` is 1) is one
+    ``quad`` call, and its failure reports ``inf``.
     """
     if c < 1.0:
         raise ValueError("c < 1 rejected: the slope family needs c >= 1")
     if not (r1 > r0 >= 0.0 and n_samples >= 1):
         raise ValueError(f"need r1 > r0 >= 0 and n_samples >= 1, got n_samples={n_samples}")
     mu_fn = as_radial(mu)
+    try:
+        m0 = float(mu_fn(r0))
+    except ex.ExprDomainError:
+        m0 = np.nan     # mu undefined at r0, as 1/r at 0: the interior probe decides
+    lead, m2 = c * r0 ** 2 * m0 ** 4, m0 ** 2
+    # the radicand at r0, below minus its rounding error
+    if lead - m2 < -4.0 * _EPS * (lead + m2):
+        raise VerticalSlopeError(f"radicand {lead - m2:.3e} < 0 at r0 = {r0} (invalid c)")
     radii = np.linspace(r0, r1, n_samples)
     probe = np.linspace(r0, r1, 4 * n_samples + 1)[1:]
     if np.any(_radicand(c, probe, mu_fn) <= 0.0):

@@ -29,17 +29,17 @@ this lattice; ``coarse_iterations`` lists those of the coarse levels.
 Linear systems are solved by inexact Newton-Krylov with a direct-factor
 preconditioner (Knoll & Keyes, J. Comput. Phys. 2004; Kelley, *Iterative
 Methods for Linear and Nonlinear Equations*, ch. 6).  Each solve holds the
-LU of the last Newton Jacobian it factored on its lattice.  A later Newton
-system is solved by one cycle of right-preconditioned GMRES on that LU, and
-the step is kept when ``|J delta + F| <= _FORCING |F|`` holds when
-recomputed.  Otherwise the held LU is dropped and the Jacobian is factored
-and solved directly, and its LU is held instead.  So a lattice makes one
-factorization when GMRES keeps meeting the bound.  An accepted damped step
-(``0 < t < 1``) also drops the held LU, so the next Newton system is
-factored directly: the iterate has moved far from the held LU's, and GMRES
-on it ran whole cycles before missing the bound.  The Picard start's
-matrix is factored and solved directly, its LU never held: a frozen-W
-LU preconditions a Newton system poorly.  Every factorization is SuperLU's,
+LU of the last matrix it factored on its lattice.  Every linear system
+takes one path: one cycle of right-preconditioned GMRES on the held LU,
+whose step is kept when ``|J delta + F| <= _FORCING |F|`` holds when
+recomputed; when no LU is held, or GMRES misses that bound, the matrix is
+factored and solved directly, and its LU is held instead.  So a lattice
+makes one factorization when GMRES keeps meeting the bound.  The held LU
+is dropped whenever the iterate jumps, so the next Newton system is
+factored directly: after the Picard start, as a frozen-W LU preconditions
+a Newton system poorly, and after an accepted damped step (``0 < t < 1``),
+as the iterate has moved far from the held LU's and GMRES on it ran whole
+cycles before missing the bound.  Every factorization is SuperLU's,
 of the Jacobian with its unknowns in nested-dissection order, computed once
 per solve from the lattice itself (George, "Nested dissection of a regular
 finite element mesh", SIAM J. Numer. Anal. 1973): each index box is split
@@ -52,10 +52,11 @@ SuperLU's ``NATURAL`` column order and its default pivot threshold, and
 every LU solve, GMRES's included, permutes its vector in and out.  Against
 multiple minimum degree on A^T + A, found anew at each factorization, it
 factors square and strip lattices about a third faster with about 5% less
-fill.  A direct solve takes one step of iterative refinement on the same
-factors when its linear relative residual exceeds ``_LINEAR_RTOL``.  GMRES
-ends its cycle with the residual of its solution y, which applies the LU to
-y; that M^-1 y is kept and is the step.
+fill.  A direct solve is not refined: inexact Newton asks each step only
+to meet a forcing bound (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+1982), and a backward-stable LU solve meets ``_FORCING`` with room to
+spare.  GMRES ends its cycle with the residual of its solution y, which
+applies the LU to y; that M^-1 y is kept and is the step.
 
 The solve stops, with ``converged=True``, on either of two rules:
 
@@ -127,7 +128,6 @@ _SINGULAR = (np.linalg.LinAlgError, RuntimeError)
 _EPS = float(np.finfo(float).eps)
 _ARMIJO = 1e-4              # sufficient decrease of |F|^2 in the line search
 _MIN_STEP = 2.0 ** -20      # the line search rejects the step below this t
-_LINEAR_RTOL = 1e-12        # linear relative residual that triggers refinement
 _RUNAWAY = 1e6              # max|u| past this many times its starting scale is divergence
 _MIN_COARSE_INTERVALS = 32  # intervals per side that a coarse lattice keeps at least
 _FORCING = 1e-6             # linear relative residual a GMRES step must reach
@@ -174,9 +174,8 @@ def _dissection_order(cache: AssemblyCache) -> np.ndarray:
 
 class _LinearSolves:
     """The linear algebra of one lattice: its nested-dissection order, the
-    LU of the last Newton Jacobian factored on it (until a damped step drops
-    it), the count of factorizations and GMRES iterations, and the largest
-    fill."""
+    LU of the last matrix factored on it (until the iterate jumps), the
+    count of factorizations and GMRES iterations, and the largest fill."""
 
     def __init__(self, cache: AssemblyCache):
         self.order = _dissection_order(cache)
@@ -185,16 +184,14 @@ class _LinearSolves:
         self.krylov_iterations = 0
         self.lu_fill = 0
 
-    def solve(self, J, rhs, newton: bool) -> np.ndarray:
-        """delta with J delta = rhs.  A Newton system tries GMRES on the held
-        LU first; the Picard start's system, or a Newton one that GMRES
-        leaves above the forcing bound, is factored and solved directly."""
-        if newton:
-            # _KRYLOV_MAX = 0 leaves the direct path alone
-            if self.lu is not None and _KRYLOV_MAX:
-                delta = self._krylov(J, rhs)
-                if delta is not None:
-                    return delta
+    def solve(self, J, rhs) -> np.ndarray:
+        """delta with J delta = rhs: one GMRES cycle on the held LU; when no
+        LU is held, or GMRES misses the forcing bound, J is factored and
+        solved directly, and its LU is held."""
+        if self.lu is not None:
+            delta = self._krylov(J, rhs)
+            if delta is not None:
+                return delta
             # dropped before the new factors exist, so one LU is held at a time
             self.lu = None
         p = self.order
@@ -206,12 +203,7 @@ class _LinearSolves:
         delta = self._lu_solve(lu, rhs)
         if not np.all(np.isfinite(delta)):
             raise np.linalg.LinAlgError("singular Jacobian")
-        nr = np.linalg.norm(rhs)
-        if nr > 0 and np.linalg.norm(J @ delta - rhs) / nr > _LINEAR_RTOL:
-            # one step of iterative refinement on the same factors
-            delta = delta + self._lu_solve(lu, rhs - J @ delta)
-        if newton:
-            self.lu = lu
+        self.lu = lu
         return delta
 
     def _lu_solve(self, lu, v: np.ndarray) -> np.ndarray:
@@ -328,7 +320,9 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
         W0 = cache.frozen_W(np.where(dom.carried(), 0.0, np.nan))
         try:
             vec = linear.solve(cache.jacobian(zero_grid, frozen_W=W0),
-                               -cache.residual(zero_grid, rhs, frozen_W=W0), newton=False)
+                               -cache.residual(zero_grid, rhs, frozen_W=W0))
+            # a frozen-W LU preconditions a Newton system poorly
+            linear.lu = None
         except _SINGULAR:
             vec = np.zeros(cache.n_unknowns)
             singular_start = True
@@ -355,7 +349,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
             diverged = "non-finite Jacobian"
             break
         try:
-            delta = linear.solve(J, -F, newton=True)
+            delta = linear.solve(J, -F)
         except _SINGULAR:
             stop_reason, message = "singular", "singular Jacobian"
             break

@@ -7,6 +7,7 @@ import pytest
 from killing_graphs import experiments, solver
 from killing_graphs.cli import _build_domain, _load_config, main
 from killing_graphs.models import builtin_model
+from killing_graphs.operator import AssemblyCache
 from killing_graphs.solver import SolveConfig, solve_dirichlet
 
 
@@ -328,6 +329,20 @@ def test_experiment_runs_carry_the_solve_report_keys(tmp_path):
     assert run["punctured_start"] == "given" and run["punctured_iterations"] >= 1
 
 
+def test_unknowns_count_the_bridge_node(tmp_path):
+    # a puncture turns an interior node into a bridge, which is still an
+    # unknown of its system: both solves of a pair have as many unknowns
+    cfg = write_cfg(tmp_path, {
+        "experiment": {"case": "disk", "hs": [1 / 16]},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["experiment", "removable-singularity", "--config", cfg]) == 0
+    run, = json.loads((tmp_path / "out" / "removable_singularity.json").read_text())["runs"]
+    dom = experiments.disk_sin2theta_domain(1 / 16)
+    n_unknowns = AssemblyCache(builtin_model("euclidean"), dom).n_unknowns
+    assert run["punctured_unknowns"] == run["full_unknowns"] == n_unknowns == 709
+
+
 @pytest.mark.filterwarnings("error")
 def test_experiment_removable_nonconvergence_exit_2(tmp_path):
     # H too large for the square: no graph solution, so no solve converges;
@@ -492,6 +507,8 @@ def test_experiment_removable_custom_annulus_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, cfg, message", [
     (["radial"], {"radial": {"mu": "1", "c": 1.5, "r0": 0.5, "r1": 2.0}}, "invalid c"),
+    # 2 r^2 log(1+r)^4 - log(1+r)^2 < 0 at r0 = 1: no NaN profile is written
+    (["radial"], {"radial": {"mu": "log(1+r)", "c": 2.0, "r0": 1.0, "r1": 20.0}}, "at r0"),
     (["growth"], {"model": {"preset": "euclidean", "chart": [-1, 1, -1, 1]},
                   "growth": {"r0": 0.3, "r_max": 2.0, "n_radii": 6}}, "exits the chart"),
     (["solve"], {"model": {"preset": "euclidean"},
@@ -503,6 +520,7 @@ def test_numerical_error_exit_3(tmp_path, capsys, command, cfg, message):
     assert main(command + ["--config", path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and message in err
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_expression_error_while_building_domain_exit_1(tmp_path, capsys):

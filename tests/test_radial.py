@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,34 @@ def test_vertical_slope_signal():
 def test_c_below_one_rejected():
     with pytest.raises(ValueError):
         radial_profile(0.5, "r", 1.0, 2.0, 10)
+
+
+def test_negative_radicand_at_r0_raises_before_any_nan():
+    # c r0^2 mu^4 - mu^2 = 2 log(2)^4 - log(2)^2 < 0 at r0 = 1; no
+    # RuntimeWarning of a NaN profile may come first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VerticalSlopeError, match="at r0"):
+            radial_profile(2.0, "log(1+r)", 1.0, 20.0)
+
+
+def test_radicand_negative_by_rounding_at_r0_is_a_vertical_start():
+    # mu = r, c = r0^-4: the radicand r0^2 (c r0^4 - 1) is 0, and rounds to -1.1e-16
+    r0 = 0.6
+    c = 1.0 / r0 ** 4
+    assert c * r0 ** 6 - r0 ** 2 < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = radial_profile(c, "r", r0, 2.0, 50)
+    expect = 0.5 * np.arctan(np.sqrt(np.maximum(c * prof.radii ** 4 - 1.0, 0.0)))
+    assert np.max(np.abs(prof.values - expect)) <= 1e-9
+    assert prof.sup_estimate == pytest.approx(np.pi / 4, abs=1e-9)
+
+
+def test_mu_undefined_at_r0_keeps_its_profile():
+    # mu = 1/r is undefined at r0 = 0, where the slope r / sqrt(c - 1) starts
+    prof = radial_profile(2.0, "1/r", 0.0, 2.0, 5)
+    np.testing.assert_allclose(prof.values, 0.5 * prof.radii ** 2, rtol=1e-12, atol=0.0)
 
 
 # -- profiles vs closed forms -----------------------------------------------------

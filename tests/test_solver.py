@@ -588,8 +588,6 @@ def _solves_per_matrix(events):
 
 
 def test_one_factorization_per_lattice_plus_picard_and_refactors(monkeypatch):
-    # _LINEAR_RTOL = 0 forces the refinement step on every direct solve
-    monkeypatch.setattr(solver, "_LINEAR_RTOL", 0.0)
     counts = _count_linear_algebra(monkeypatch)
     rep = solve_dirichlet(builtin_model("nil3", (0.5,)), _clamped_strip())
     assert rep.converged and rep.iterations >= 3
@@ -612,10 +610,10 @@ def test_one_factorization_per_lattice_plus_picard_and_refactors(monkeypatch):
     assert counts["splu"] == rep.factorizations == 1 + 1 + sum(after_damped) + refactors
     assert counts["splu"] < counts["matrices"] and "newton:gmres" in newton
     assert counts["spsolve"] == 0
-    # the refinement reuses the factors: two triangular solves per direct
-    # solve; a GMRES solution is mapped back by the LU solve of GMRES's own
-    # last residual, so it costs none outside GMRES
-    assert counts["lu_solves"] == 2 * counts["splu"]
+    # one triangular solve per direct solve, with no refinement step; a
+    # GMRES solution is mapped back by the LU solve of GMRES's own last
+    # residual, so it costs none outside GMRES
+    assert counts["lu_solves"] == counts["splu"]
     # SuperLU keeps the nested-dissection order it is given
     assert counts["permc_spec"] == ["NATURAL"] * counts["splu"]
     assert all(counts["permuted"]) and len(counts["permuted"]) == counts["splu"]
@@ -650,7 +648,8 @@ def test_picard_lu_never_preconditions_a_newton_step(monkeypatch):
 def test_krylov_solve_matches_all_direct_path(monkeypatch, dom):
     m = builtin_model("nil3", (0.5,))
     krylov = solve_dirichlet(m, dom)
-    monkeypatch.setattr(solver, "_KRYLOV_MAX", 0)
+    # GMRES never meets the bound, so every system is factored and solved directly
+    monkeypatch.setattr(solver._LinearSolves, "_krylov", lambda self, J, rhs: None)
     direct = solve_dirichlet(m, dom)
     assert krylov.converged and direct.converged
     assert krylov.iterations == direct.iterations
@@ -662,25 +661,21 @@ def test_krylov_solve_matches_all_direct_path(monkeypatch, dom):
     assert diff <= 10 * krylov.tolerance
 
 
-def _two_spsolve_linear_solve(J, rhs, rtol):
-    # the former path: the refinement step factors J a second time
+def _spsolve_linear_solve(J, rhs):
+    # the reference: one spsolve per system, in SuperLU's own column order
     delta = spla.spsolve(J.tocsc(), rhs)
     if not np.all(np.isfinite(delta)):
         raise np.linalg.LinAlgError("singular Jacobian")
-    nr = np.linalg.norm(rhs)
-    if nr > 0 and np.linalg.norm(J @ delta - rhs) / nr > rtol:
-        delta = delta + spla.spsolve(J.tocsc(), rhs - J @ delta)
     return delta
 
 
-def test_factor_reuse_matches_two_spsolve_path(monkeypatch):
-    # the direct path alone (no GMRES), with refinement on every system
+def test_direct_path_matches_one_spsolve_per_system(monkeypatch):
+    # the direct path alone (no GMRES): nested-dissection LU, no refinement
     m = builtin_model("nil3", (0.5,))
-    monkeypatch.setattr(solver, "_KRYLOV_MAX", 0)
-    monkeypatch.setattr(solver, "_LINEAR_RTOL", 0.0)
+    monkeypatch.setattr(solver._LinearSolves, "_krylov", lambda self, J, rhs: None)
     rep = solve_dirichlet(m, _clamped_strip())
     monkeypatch.setattr(solver._LinearSolves, "solve",
-                        lambda self, J, rhs, newton: _two_spsolve_linear_solve(J, rhs, 0.0))
+                        lambda self, J, rhs: _spsolve_linear_solve(J, rhs))
     ref = solve_dirichlet(m, _clamped_strip())
     assert rep.converged and ref.converged
     assert rep.iterations == ref.iterations
@@ -795,7 +790,7 @@ def test_dissection_fills_no_more_than_minimum_degree(preset, dom, bound):
     cache = AssemblyCache(_model(preset), dom)
     J = _first_jacobian(cache)
     linear = solver._LinearSolves(cache)
-    linear.solve(J, np.ones(cache.n_unknowns), newton=True)
+    linear.solve(J, np.ones(cache.n_unknowns))
     mmd = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
     assert _fill(linear.lu) <= bound * _fill(mmd)
 
@@ -914,8 +909,8 @@ def test_rounding_size_step_far_above_floor_does_not_stop(monkeypatch):
     # of the (near-zero) iterate stays far above its rounding floor
     linear_solve = solver._LinearSolves.solve
 
-    def tiny_step(self, J, rhs, newton):
-        delta = linear_solve(self, J, rhs, newton)
+    def tiny_step(self, J, rhs):
+        delta = linear_solve(self, J, rhs)
         return delta * (1e-3 * np.finfo(float).eps / np.max(np.abs(delta)))
 
     monkeypatch.setattr(solver._LinearSolves, "solve", tiny_step)
@@ -936,7 +931,7 @@ def test_large_step_under_floor_does_not_stop(monkeypatch):
     done = solve_dirichlet(model, dom, config=cfg)
     assert done.stop_reason == "rounding-floor"
     monkeypatch.setattr(solver._LinearSolves, "solve",
-                        lambda self, J, rhs, newton: np.full(rhs.shape, 1e-3))
+                        lambda self, J, rhs: np.full(rhs.shape, 1e-3))
     rep = solve_dirichlet(model, dom, init=done.u,
                           config=SolveConfig(tol_factor=0.0, max_iters=1))
     # the large step was rejected, never taken, and the solve stopped there
