@@ -507,13 +507,13 @@ def test_experiment_removable_custom_annulus_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, cfg, message", [
     (["radial"], {"radial": {"mu": "1", "c": 1.5, "r0": 0.5, "r1": 2.0}}, "invalid c"),
-    # 2 r^2 log(1+r)^4 - log(1+r)^2 < 0 at r0 = 1: no NaN profile is written
-    (["radial"], {"radial": {"mu": "log(1+r)", "c": 2.0, "r0": 1.0, "r1": 20.0}}, "at r0"),
     (["growth"], {"model": {"preset": "euclidean", "chart": [-1, 1, -1, 1]},
                   "growth": {"r0": 0.3, "r_max": 2.0, "n_radii": 6}}, "exits the chart"),
     (["solve"], {"model": {"preset": "euclidean"},
                  "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
                  "boundary": "0", "H": "log(x)"}, "non-finite"),
+    # 2 r^2 log(1+r)^4 - log(1+r)^2 < 0 at r0 = 1: no NaN profile is written
+    (["radial"], {"radial": {"mu": "log(1+r)", "c": 2.0, "r0": 1.0, "r1": 20.0}}, "at r0"),
 ])
 def test_numerical_error_exit_3(tmp_path, capsys, command, cfg, message):
     path = write_cfg(tmp_path, {**cfg, "output": {"dir": str(tmp_path / "out")}})
