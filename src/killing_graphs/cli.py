@@ -231,7 +231,7 @@ def cmd_radial(cfg: dict, args) -> int:
     _write_csv(out / "radial.csv", ["r", "u"], list(zip(prof.radii, prof.values)))
     _write_json(out / "radial.json", {
         "c": prof.c, "r0": prof.r0,
-        "sup_estimate": prof.sup_estimate,
+        "sup_estimate": prof.sup_estimate, "tail": prof.tail,
         "n_samples": len(prof.radii),
     })
     print(f"radial: c={prof.c}, sup estimate {prof.sup_estimate:.12g}; "

@@ -9,7 +9,10 @@ giving the one-parameter slope family
 Every finite integral of it is one vectorized adaptive Gauss-Kronrod call
 with the substitution s = a + (b - a) t^2 on every interval, which absorbs
 the inverse-sqrt singularity where the graph leaves the inner boundary
-vertically; the tail is one ``quad`` call, whose failure reports ``inf``.
+vertically.  The tail beyond r1 is first integrated over 32 dyadic shells
+in one such call, and shell increments that have stopped decaying report
+``inf``; otherwise the tail is one ``quad`` call, whose failure reports
+``inf``.
 The module also classifies boundedness of the profiles and evaluates the
 rotational CMC profile in the hyperbolic-base unit-Killing-field space.
 """
@@ -26,6 +29,8 @@ from scipy import integrate
 from . import expressions as ex
 
 _EPS = float(np.finfo(float).eps)
+_TAIL_SHELLS = 32               # dyadic shells [r1 2^k, r1 2^(k+1)] of the tail test
+_TAIL_DIVERGES = 1.0 - 1e-9     # the last three shell ratios at or above this: divergent
 
 
 class VerticalSlopeError(ValueError):
@@ -66,6 +71,7 @@ class RadialProfile:
     radii: np.ndarray
     values: np.ndarray      # u(r_i), u(r0) = 0
     sup_estimate: float     # lim u(r), +inf when the tail integral diverges
+    tail: str               # "diverges" (shells; inf), "quad" (finite) or "quad-failed" (inf)
 
 
 def _quad(f, a, b):
@@ -98,8 +104,10 @@ def radial_profile(c: float, mu, r0: float = 1.0, r1: float = 2.0,
     A vanishing radicand at r0 (vertical tangent), zero up to its rounding
     error, is integrable; a negative one at r0, or a nonpositive one in the
     open interior, means c is invalid and raises VerticalSlopeError.  The
-    tail beyond the last sample (r1, or r0 when ``n_samples`` is 1) is one
-    ``quad`` call, and its failure reports ``inf``.
+    tail is divergent, and ``sup_estimate`` ``inf``, when the slope's
+    increments over the dyadic shells beyond r1 have stopped decaying.
+    Otherwise the tail beyond the last sample (r1, or r0 when ``n_samples``
+    is 1) is one ``quad`` call, and its failure reports ``inf``.
     """
     if c < 1.0:
         raise ValueError("c < 1 rejected: the slope family needs c >= 1")
@@ -121,12 +129,27 @@ def radial_profile(c: float, mu, r0: float = 1.0, r1: float = 2.0,
     slope = _slope_fn(c, mu_fn)
     values = np.concatenate([[0.0], np.cumsum(_interval_integrals(slope, radii[:-1], radii[1:]))])
 
+    if _tail_diverges(slope, r1):
+        return RadialProfile(c, r0, radii, values, np.inf, "diverges")
     tail, tail_err = _quad(slope, radii[-1], np.inf)
     if not np.isfinite(tail) or tail_err > 1e-6 * (1.0 + abs(tail)):
-        sup = np.inf
-    else:
-        sup = values[-1] + tail
-    return RadialProfile(c=c, r0=r0, radii=radii, values=values, sup_estimate=sup)
+        return RadialProfile(c, r0, radii, values, np.inf, "quad-failed")
+    return RadialProfile(c, r0, radii, values, values[-1] + tail, "quad")
+
+
+def _tail_diverges(slope: Callable, r1: float) -> bool:
+    """Whether the slope's increments over the shells [r1 2^k, r1 2^(k+1)]
+    have stopped decaying: the last three ratios are all >= 1 - 1e-9.  A
+    domain error, a non-finite increment, or a zero one among the last four
+    gives no verdict."""
+    edges = r1 * 2.0 ** np.arange(_TAIL_SHELLS + 1)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            incs = _interval_integrals(slope, edges[:-1], edges[1:])
+    except ex.ExprDomainError:
+        return False
+    ratios, _ = _tail_ratios(incs)
+    return bool(np.all(np.isfinite(incs)) and np.all(ratios[-3:] >= _TAIL_DIVERGES))
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,20 @@ def test_radial_csv_matches_closed_form(tmp_path):
     for row in rows:
         r, u = float(row[0]), float(row[1])
         assert abs(u - 0.5 * np.arctan(np.sqrt(max(r ** 4 - 1, 0.0)))) <= 1e-9
+    record = json.loads((tmp_path / "out" / "radial.json").read_text())
+    assert record["tail"] == "quad"
+    assert record["sup_estimate"] == pytest.approx(np.pi / 4, abs=1e-12)
+
+
+def test_radial_json_reports_a_divergent_tail(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "radial": {"mu": "1", "c": 2.0, "r0": 1.0, "r1": 20.0, "n_samples": 200},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["radial", "--config", cfg]) == 0
+    record = json.loads((tmp_path / "out" / "radial.json").read_text())
+    assert record["tail"] == "diverges"
+    assert record["sup_estimate"] == np.inf
 
 
 def test_growth_verdict_and_footer(tmp_path):

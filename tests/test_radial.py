@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from killing_graphs import radial
+from killing_graphs.expressions import ExprDomainError
 from killing_graphs.radial import (VerticalSlopeError, boundedness_classify,
                                    penafiel_h, penafiel_slope,
                                    penafiel_slope_disk, radial_profile,
@@ -120,6 +122,66 @@ def test_profiles_monotone_in_r_and_c():
         assert np.all(np.diff(p.values) >= 0.0)
     for lo, hi in zip(profs[:-1], profs[1:]):
         assert np.all(hi.values <= lo.values + 1e-12)
+
+
+# -- the tail beyond the last sample ------------------------------------------------
+
+@pytest.mark.parametrize("mu, c, sup", [
+    ("r", 1.0, 0.7853981633975666),
+    ("r", 2.0, 0.3926990816987241),
+    ("r^0.5", 2.0, 0.765024325429257),
+    ("r^0.2", 2.0, 1.8492150529734173),
+    ("r^0.05", 2.0, 7.173418242040168),
+    # shell ratio 2^-0.02 = 0.986: a cut-off as loose as 0.98 would call it divergent
+    ("r^0.01", 2.0, 35.46523975373189),
+])
+def test_convergent_tail_keeps_its_quad_value(mu, c, sup):
+    prof = radial_profile(c, mu, 1.0, 20.0, 200)
+    assert prof.tail == "quad"
+    assert prof.sup_estimate == sup
+
+
+@pytest.mark.parametrize("mu, c", [("1", 1.0), ("1", 1.9), ("1", 2.0), ("1", 2.1),
+                                   ("1+1/r", 2.0)])
+def test_divergent_tail_is_decided_by_the_shells(monkeypatch, mu, c):
+    def no_quad(*args):
+        raise AssertionError("the tail quad was called")
+    monkeypatch.setattr(radial, "_quad", no_quad)
+    prof = radial_profile(c, mu, 1.0, 20.0, 200)
+    assert prof.tail == "diverges"
+    assert prof.sup_estimate == np.inf
+
+
+def test_slowly_divergent_tail_falls_through_to_a_failing_quad():
+    # u' ~ 1/(r log r): the shell ratios k/(k+1) still decay, and quad fails
+    prof = radial_profile(1.0, "sqrt(log(r))", 3.0, 20.0, 50)
+    assert prof.tail == "quad-failed"
+    assert prof.sup_estimate == np.inf
+
+
+def test_shells_start_at_r1_when_the_last_sample_is_r0():
+    # one sample, r0 = 0, where mu = 1/r is undefined: u' = r on every shell
+    prof = radial_profile(2.0, "1/r", 0.0, 2.0, 1)
+    assert prof.tail == "diverges"
+    assert prof.sup_estimate == np.inf
+
+
+def test_overflowing_shells_give_no_verdict_and_no_warning():
+    # mu^4 = r^32 overflows on the far shells: zero increments, so quad decides
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = radial_profile(2.0, "r^8", 1.0, 20.0, 50)
+    assert prof.tail == "quad"
+    assert prof.sup_estimate == 0.05128572282129878
+
+
+def test_domain_error_in_the_shells_falls_through_to_quad():
+    # exp(r) is non-finite on the far shells; the tail quad then raises, and
+    # overflows mu^4 on its way there
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ExprDomainError):
+            radial_profile(2.0, "exp(r)", 1.0, 2.0)
 
 
 # -- boundedness classification -----------------------------------------------------
