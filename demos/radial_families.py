@@ -39,7 +39,7 @@ cases = [
      "mu = sqrt(f_1(r)/r)  (above sqrt(log r), yet unbounded)"),
 ]
 for mu, label in cases:
-    v = kg.boundedness_classify(mu, c=2.0 if isinstance(mu, str) else 1.0, r_max=1e6)
+    v = kg.boundedness_classify(mu, c=2.0 if isinstance(mu, str) else 1.0)
     print(f"{label}:  {v.verdict}")
 
 print("\n=== rotational CMC profile over the hyperbolic base ===")

@@ -24,7 +24,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .grids import ScalarGrid
 from .models import MetricModel
-from .radial import _tail_ratios, penafiel_h
+from .radial import penafiel_h
 from .solver import SolveReport
 
 
@@ -178,8 +178,8 @@ def window_verdict(radii: np.ndarray, g: np.ndarray):
         return "inconclusive", np.array([]), np.array([])
     gv = np.interp(ends, radii, g)
     incs = np.diff(gv)
-    ratios, decays = _tail_ratios(incs)
-    if decays:
+    ratios = incs[1:] / np.where(incs[:-1] == 0.0, np.nan, incs[:-1])  # NaN after a zero one
+    if np.all(np.isfinite(ratios[-3:])) and np.all(ratios[-3:] < 0.9):
         return "converges", incs, ratios
     if np.all(incs >= _EPS0):
         return "diverges", incs, ratios

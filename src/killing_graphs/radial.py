@@ -9,12 +9,13 @@ giving the one-parameter slope family
 Every finite integral of it is one vectorized adaptive Gauss-Kronrod call
 with the substitution s = a + (b - a) t^2 on every interval, which absorbs
 the inverse-sqrt singularity where the graph leaves the inner boundary
-vertically.  The tail beyond r1 is first integrated over 32 dyadic shells
-in one such call, and shell increments that have stopped decaying report
-``inf``; otherwise the tail is one ``quad`` call, whose failure reports
-``inf``.
-The module also classifies boundedness of the profiles and evaluates the
-rotational CMC profile in the hyperbolic-base unit-Killing-field space.
+vertically.  One tail classifier integrates the increments of u over the
+shells [R, R^2], which double log r, in one such call (in v = log r) and
+calls the tail bounded, unbounded or inconclusive; both the profile and the
+boundedness classification use it.  An unbounded tail reports ``inf``;
+otherwise the tail is one ``quad`` call, whose failure reports ``inf``.
+The module also evaluates the rotational CMC profile in the
+hyperbolic-base unit-Killing-field space.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from scipy import integrate
 from . import expressions as ex
 
 _EPS = float(np.finfo(float).eps)
-_TAIL_SHELLS = 32               # dyadic shells [r1 2^k, r1 2^(k+1)] of the tail test
-_TAIL_DIVERGES = 1.0 - 1e-9     # the last three shell ratios at or above this: divergent
+_UNBOUNDED = 1.0 - 1e-9   # the last three shell ratios at or above this, not decreasing
+_BOUNDED = 0.9            # the last shell ratio below this, after none increased
+_TREND = 1e-3             # relative slack of "not decreasing" and "not increasing"
+_LOG_R_MAX = 709.0        # log of the last shell end: exp stays finite
 
 
 class VerticalSlopeError(ValueError):
@@ -75,7 +78,7 @@ class RadialProfile:
 
 
 def _quad(f, a, b):
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=400)
     return val, err
@@ -104,10 +107,10 @@ def radial_profile(c: float, mu, r0: float = 1.0, r1: float = 2.0,
     A vanishing radicand at r0 (vertical tangent), zero up to its rounding
     error, is integrable; a negative one at r0, or a nonpositive one in the
     open interior, means c is invalid and raises VerticalSlopeError.  The
-    tail is divergent, and ``sup_estimate`` ``inf``, when the slope's
-    increments over the dyadic shells beyond r1 have stopped decaying.
-    Otherwise the tail beyond the last sample (r1, or r0 when ``n_samples``
-    is 1) is one ``quad`` call, and its failure reports ``inf``.
+    tail is divergent, and ``sup_estimate`` ``inf``, when the shells from
+    r1 call it unbounded (see ``_tail_verdict``).  Otherwise the tail beyond
+    the last sample (r1, or r0 when ``n_samples`` is 1) is one ``quad``
+    call, and its failure reports ``inf``.
     """
     if c < 1.0:
         raise ValueError("c < 1 rejected: the slope family needs c >= 1")
@@ -129,7 +132,7 @@ def radial_profile(c: float, mu, r0: float = 1.0, r1: float = 2.0,
     slope = _slope_fn(c, mu_fn)
     values = np.concatenate([[0.0], np.cumsum(_interval_integrals(slope, radii[:-1], radii[1:]))])
 
-    if _tail_diverges(slope, r1):
+    if _tail_verdict(slope, r1).verdict == "unbounded":
         return RadialProfile(c, r0, radii, values, np.inf, "diverges")
     tail, tail_err = _quad(slope, radii[-1], np.inf)
     if not np.isfinite(tail) or tail_err > 1e-6 * (1.0 + abs(tail)):
@@ -137,63 +140,59 @@ def radial_profile(c: float, mu, r0: float = 1.0, r1: float = 2.0,
     return RadialProfile(c, r0, radii, values, values[-1] + tail, "quad")
 
 
-def _tail_diverges(slope: Callable, r1: float) -> bool:
-    """Whether the slope's increments over the shells [r1 2^k, r1 2^(k+1)]
-    have stopped decaying: the last three ratios are all >= 1 - 1e-9.  A
-    domain error, a non-finite increment, or a zero one among the last four
-    gives no verdict."""
-    edges = r1 * 2.0 ** np.arange(_TAIL_SHELLS + 1)
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            incs = _interval_integrals(slope, edges[:-1], edges[1:])
-    except ex.ExprDomainError:
-        return False
-    ratios, _ = _tail_ratios(incs)
-    return bool(np.all(np.isfinite(incs)) and np.all(ratios[-3:] >= _TAIL_DIVERGES))
-
-
 # ---------------------------------------------------------------------------
 # Boundedness classification
-
-def _tail_ratios(incs: np.ndarray):
-    """Ratios of consecutive window increments (NaN after a zero one), and
-    whether the last three lie below 0.9: geometric decay."""
-    ratios = incs[1:] / np.where(incs[:-1] == 0.0, np.nan, incs[:-1])
-    tail = ratios[-3:]
-    return ratios, bool(np.all(np.isfinite(tail)) and np.all(tail < 0.9))
-
 
 @dataclass
 class BoundednessVerdict:
     verdict: str                 # "bounded" | "unbounded" | "inconclusive"
-    window_radii: np.ndarray
-    increments: np.ndarray
-    ratios: np.ndarray
+    window_radii: np.ndarray     # shell ends R_k
+    increments: np.ndarray       # u(R_{k+1}) - u(R_k)
+    ratios: np.ndarray           # consecutive increment ratios
 
 
-def boundedness_classify(mu, c: float, r_max: float = 1e6) -> BoundednessVerdict:
-    """Heuristic tail classification of the profile u_c.
+def _slope_is_usable(slope: Callable, r: float) -> bool:
+    try:
+        return bool(0.0 < slope(r) < np.inf)
+    except ex.ExprDomainError:
+        return False
 
-    Windows are geometric in log r (r_0 = 2, r_{k+1} = r_k^1.5).  Window
-    increments of u that keep decaying geometrically mean a convergent tail
-    (bounded); non-decreasing increments mean divergence; anything else is
-    inconclusive.
+
+def _tail_verdict(slope: Callable, start: float) -> BoundednessVerdict:
+    """Classify the tail of u from the increments of u over the shells
+    [R_k, R_k^2], R_0 = max(start, 2), each of which doubles log r.
+
+    The shells end at the last R_k below e^709 where the slope is finite
+    and positive: further out c r^2 mu^4 overflows.  With q the last three
+    increment ratios, the tail is unbounded when every q is at least
+    1 - 1e-9 and q does not decrease, bounded when q does not increase and
+    the last q is below 0.9 (both up to a relative 1e-3), and inconclusive
+    otherwise, or with fewer than four shells.  A tail u' ~ 1/(r log^p r)
+    gives the steady ratio 2^(1-p), so p = 1 diverges and p = 2 is bounded.
     """
-    pts = [2.0]
-    while pts[-1] ** 1.5 <= r_max:
-        pts.append(pts[-1] ** 1.5)
-    pts = np.asarray(pts)
-    if len(pts) < 4:
-        return BoundednessVerdict("inconclusive", pts, np.array([]), np.array([]))
-    incs = _interval_integrals(_slope_fn(c, as_radial(mu)), pts[:-1], pts[1:])
-    ratios, decays = _tail_ratios(incs)
-    if decays:
-        verdict = "bounded"
-    elif np.all(ratios[-3:] >= 0.98):
-        verdict = "unbounded"
-    else:
-        verdict = "inconclusive"
-    return BoundednessVerdict(verdict, pts, incs, ratios)
+    logs, log_r = [], np.log(max(start, 2.0))
+    with np.errstate(all="ignore"):
+        while log_r < _LOG_R_MAX and _slope_is_usable(slope, float(np.exp(log_r))):
+            logs.append(log_r)
+            log_r *= 2.0
+        logs = np.asarray(logs)
+        incs = _interval_integrals(lambda v: slope(np.exp(v)) * np.exp(v), logs[:-1], logs[1:])
+        ratios = incs[1:] / incs[:-1]
+    q, last = ratios[-3:], incs[-4:]
+    verdict = "inconclusive"
+    if len(incs) >= 4 and np.all((last > 0.0) & (last < np.inf)):
+        if np.all(q >= _UNBOUNDED) and np.all(q[1:] >= q[:-1] * (1.0 - _TREND)):
+            verdict = "unbounded"
+        elif np.all(q[1:] <= q[:-1] * (1.0 + _TREND)) and q[-1] < _BOUNDED:
+            verdict = "bounded"
+    return BoundednessVerdict(verdict, np.exp(logs), incs, ratios)
+
+
+def boundedness_classify(mu, c: float) -> BoundednessVerdict:
+    """Classify the tail of the profile u_c from r = 2 as bounded, unbounded
+    or inconclusive, by its increments over shells that double log r (see
+    ``_tail_verdict``).  The shells run as far as floating point allows."""
+    return _tail_verdict(_slope_fn(c, as_radial(mu)), 2.0)
 
 
 # ---------------------------------------------------------------------------

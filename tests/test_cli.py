@@ -528,6 +528,8 @@ def test_experiment_removable_custom_annulus_exit_1(tmp_path, capsys):
                  "boundary": "0", "H": "log(x)"}, "non-finite"),
     # 2 r^2 log(1+r)^4 - log(1+r)^2 < 0 at r0 = 1: no NaN profile is written
     (["radial"], {"radial": {"mu": "log(1+r)", "c": 2.0, "r0": 1.0, "r1": 20.0}}, "at r0"),
+    # exp(r) overflows in the tail: the message comes with no RuntimeWarning
+    (["radial"], {"radial": {"mu": "exp(r)", "c": 2.0, "r0": 1.0, "r1": 2.0}}, "non-finite"),
 ])
 def test_numerical_error_exit_3(tmp_path, capsys, command, cfg, message):
     path = write_cfg(tmp_path, {**cfg, "output": {"dir": str(tmp_path / "out")}})

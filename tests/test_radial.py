@@ -141,20 +141,27 @@ def test_convergent_tail_keeps_its_quad_value(mu, c, sup):
     assert prof.sup_estimate == sup
 
 
+def iterated_log_mu(r):
+    return np.sqrt((r + 1.0) * np.log(r + 1.0) / r)
+
+
 @pytest.mark.parametrize("mu, c", [("1", 1.0), ("1", 1.9), ("1", 2.0), ("1", 2.1),
-                                   ("1+1/r", 2.0)])
+                                   ("1+1/r", 2.0),
+                                   # u' ~ 1/(r log r): every shell adds log 2 to u
+                                   ("sqrt(log(r))", 1.0), (iterated_log_mu, 1.0)])
 def test_divergent_tail_is_decided_by_the_shells(monkeypatch, mu, c):
     def no_quad(*args):
         raise AssertionError("the tail quad was called")
     monkeypatch.setattr(radial, "_quad", no_quad)
-    prof = radial_profile(c, mu, 1.0, 20.0, 200)
+    prof = radial_profile(c, mu, 3.0, 20.0, 200)
     assert prof.tail == "diverges"
     assert prof.sup_estimate == np.inf
 
 
 def test_slowly_divergent_tail_falls_through_to_a_failing_quad():
-    # u' ~ 1/(r log r): the shell ratios k/(k+1) still decay, and quad fails
-    prof = radial_profile(1.0, "sqrt(log(r))", 3.0, 20.0, 50)
+    # u' ~ 1/(r log r log log r): the shell ratios rise towards 1 from below,
+    # so the shells give no verdict and quad fails
+    prof = radial_profile(2.0, "sqrt(log(r)*log(log(r)))", 20.0, 40.0, 50)
     assert prof.tail == "quad-failed"
     assert prof.sup_estimate == np.inf
 
@@ -177,9 +184,9 @@ def test_overflowing_shells_give_no_verdict_and_no_warning():
 
 def test_domain_error_in_the_shells_falls_through_to_quad():
     # exp(r) is non-finite on the far shells; the tail quad then raises, and
-    # overflows mu^4 on its way there
+    # overflows mu^4 on its way there without a warning
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ExprDomainError):
             radial_profile(2.0, "exp(r)", 1.0, 2.0)
 
@@ -187,17 +194,32 @@ def test_domain_error_in_the_shells_falls_through_to_quad():
 # -- boundedness classification -----------------------------------------------------
 
 def test_bounded_for_log_power_above_one():
-    v = boundedness_classify("log(1+r)", 2.0, r_max=1e6)
+    v = boundedness_classify("log(1+r)", 2.0)
     assert v.verdict == "bounded"
 
 
 def test_unbounded_catenoid():
-    assert boundedness_classify(1.0, 1.0, r_max=1e6).verdict == "unbounded"
+    assert boundedness_classify(1.0, 1.0).verdict == "unbounded"
 
 
 def test_unbounded_iterated_log_mu():
-    mu = lambda r: np.sqrt((r + 1.0) * np.log(r + 1.0) / r)
-    assert boundedness_classify(mu, 1.0, r_max=1e6).verdict == "unbounded"
+    assert boundedness_classify(iterated_log_mu, 1.0).verdict == "unbounded"
+
+
+@pytest.mark.parametrize("mu, c, verdict", [
+    # u' ~ r^-(1 + 2a) / sqrt(c) decays only on the far shells for small a
+    ("r^0.05", 2.0, "bounded"), ("r^0.01", 2.0, "bounded"),
+    ("r^0.005", 2.0, "inconclusive"), ("r^0.001", 2.0, "inconclusive"),
+    ("r", 2.0, "bounded"), ("r^0.5", 2.0, "bounded"),
+    ("1", 1.5, "unbounded"), ("1", 2.0, "unbounded"), ("1+1/r", 2.0, "unbounded"),
+    ("1/r", 2.0, "unbounded"), ("sqrt(log(r))", 1.0, "unbounded"),
+])
+def test_verdicts_from_shells_that_double_log_r(mu, c, verdict):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = boundedness_classify(mu, c)
+    assert v.verdict == verdict
+    assert np.allclose(np.log(v.window_radii[1:]), 2.0 * np.log(v.window_radii[:-1]))
 
 
 # -- rotational CMC profile -----------------------------------------------------------
