@@ -7,6 +7,11 @@ Two lattice kinds share one node-classification scheme:
                 theta periodic, pole excluded by construction.
 
 Arrays are indexed [j, i]: axis 0 is y (or theta), axis 1 is x (or r).
+Only :meth:`GridDomain.axes` and :meth:`GridDomain.metric` turn a kind into
+geometry.  A step h0 along axis 0 has length g * h0 (g = r on polar
+lattices, 1 on cartesian ones), g_mid is g at the midpoint of each axis-1
+edge, and each row's frame is the chart frame turned by its angle (theta,
+or 0 on cartesian lattices).
 
 Node status: INTERIOR nodes carry the PDE equation, BOUNDARY nodes carry
 Dirichlet data, EXCLUDED nodes are outside the domain, and a BRIDGE node is
@@ -68,22 +73,31 @@ class GridDomain:
     def shape(self):
         return self.status.shape
 
+    def axes(self):
+        """(start, step, count) of lattice axes 0 and 1: (y, x) on cartesian
+        lattices, (theta, r) on polar ones."""
+        n1, n0 = self.shape
+        if self.kind == "cartesian":
+            return (self.y_start, self.hy, n1), (self.x_start, self.hx, n0)
+        return (0.0, self.ht, n1), (self.r_start, self.hr, n0)
+
+    def metric(self):
+        """(g, g_mid, angle): the scale of axis-0 lengths in each column, its
+        value at the midpoint of each axis-1 edge, and the frame angle of
+        each row (see the module docstring)."""
+        (t0, ht, n1), (r0, hr, n0) = self.axes()
+        if self.kind == "cartesian":
+            return np.ones(n0), np.ones(n0 - 1), np.zeros(n1)
+        r = r0 + hr * np.arange(n0)
+        return r, r[:-1] + 0.5 * hr, t0 + ht * np.arange(n1)
+
     def coords(self):
         """Chart coordinates (X, Y) of every lattice node, shape (n1, n0)."""
-        n1, n0 = self.status.shape
+        a0, a1 = (start + step * np.arange(n) for start, step, n in self.axes())
         if self.kind == "cartesian":
-            x = self.x_start + self.hx * np.arange(n0)
-            y = self.y_start + self.hy * np.arange(n1)
-            return np.meshgrid(x, y)
-        r = self.r_start + self.hr * np.arange(n0)
-        t = self.ht * np.arange(n1)
-        T, R = np.meshgrid(t, r, indexing="ij")
+            return np.meshgrid(a1, a0)
+        T, R = np.meshgrid(a0, a1, indexing="ij")
         return (self.center[0] + R * np.cos(T), self.center[1] + R * np.sin(T))
-
-    def r_values(self):
-        if self.kind != "polar":
-            raise ValueError("r_values only defined for polar grids")
-        return self.r_start + self.hr * np.arange(self.status.shape[1])
 
     def carried(self):
         return np.isin(self.status, _CARRIED)
@@ -119,6 +133,11 @@ class GridDomain:
         """
         if r0 <= 0:
             raise ValueError("annulus needs r0 > 0 (pole excluded)")
+        if not r0 < r1 < np.inf:
+            raise ValueError(f"annulus needs a finite r1 > r0, got r0 = {r0}, r1 = {r1}")
+        if nr < 2 or ntheta < 3:
+            # at ntheta = 2 both theta-neighbours of a node are one node
+            raise ValueError(f"annulus needs nr >= 2 and ntheta >= 3, got {nr} and {ntheta}")
         status = np.full((ntheta, nr + 1), INTERIOR, dtype=np.int8)
         status[:, 0] = status[:, -1] = BOUNDARY
         dom = GridDomain(kind="polar", status=status, bdata=np.full(status.shape, np.nan),
@@ -144,6 +163,11 @@ class GridDomain:
     def _lattice(x0, x1, y0, y1, h, keep, boundary, arcs) -> "GridDomain":
         """Cartesian lattice on [x0, x1] x [y0, y1], spacing snapped to ~h;
         the rectangle is the mask that keeps every node."""
+        if not (np.isfinite(h) and h > 0):
+            raise ValueError(f"lattice spacing h must be finite and positive, got {h}")
+        if not (-np.inf < x0 < x1 < np.inf and -np.inf < y0 < y1 < np.inf):
+            raise ValueError(f"lattice needs finite x0 < x1 and y0 < y1, "
+                             f"got [{x0}, {x1}] x [{y0}, {y1}]")
         nx = max(2, int(round((x1 - x0) / h))) + 1
         ny = max(2, int(round((y1 - y0) / h))) + 1
         hx = (x1 - x0) / (nx - 1)
@@ -269,15 +293,6 @@ def _boundary_data(dom: GridDomain, boundary, arcs):
     return vals
 
 
-def _axes(dom: GridDomain):
-    """(start, step, count) of lattice axes 0 and 1: (y, x) on cartesian
-    lattices, (theta, r) on polar ones."""
-    n1, n0 = dom.shape
-    if dom.kind == "cartesian":
-        return (dom.y_start, dom.hy, n1), (dom.x_start, dom.hx, n0)
-    return (0.0, dom.ht, n1), (dom.r_start, dom.hr, n0)
-
-
 def _axis_map(src, dst):
     """For each node of the axis ``dst``, the index of the node of the axis
     ``src`` at the same position, or -1; each axis is (start, step, count)."""
@@ -300,7 +315,7 @@ def coincident_nodes(src: GridDomain, dst: GridDomain) -> np.ndarray:
     if src.kind != dst.kind or (src.kind == "polar"
                                 and tuple(src.center) != tuple(dst.center)):
         return np.full(dst.shape, -1, dtype=np.int64)
-    (a0, a1), (b0, b1) = _axes(src), _axes(dst)
+    (a0, a1), (b0, b1) = src.axes(), dst.axes()
     J, I = np.meshgrid(_axis_map(a0, b0), _axis_map(a1, b1), indexing="ij")
     return np.where((J >= 0) & (I >= 0), J * src.shape[1] + I, -1)
 
@@ -403,11 +418,11 @@ class ScalarGrid:
         dom = self.domain
         if dom.kind != "cartesian":
             raise ValueError("sampling is implemented for cartesian grids")
+        (y0, hy, n1), (x0, hx, n0) = dom.axes()
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        fi = (x - dom.x_start) / dom.hx
-        fj = (y - dom.y_start) / dom.hy
-        n1, n0 = dom.shape
+        fi = (x - x0) / hx
+        fj = (y - y0) / hy
         i0 = np.clip(np.floor(fi).astype(int), 0, n0 - 2)
         j0 = np.clip(np.floor(fj).astype(int), 0, n1 - 2)
         tx = fi - i0

@@ -5,7 +5,10 @@ factorization pairing) use second-order central differences at interior
 nodes.  The mean-curvature residual uses a conservative flux form: fluxes
 live on half-edges, coefficients are arithmetic node averages, the normal
 derivative is the one-sided difference across the edge, and the area
-element at the half-edge is computed from the half-edge gradient.
+element at the half-edge is computed from the half-edge gradient.  The
+lattice geometry (axis steps h0 and h1, the scale g of axis-0 lengths, each
+row's frame angle) comes from the domain, so one set of formulas serves
+cartesian and polar lattices.
 
 The same edge tables drive the residual, the exact Jacobian and the
 discrete divergence-theorem check, so the three are consistent by
@@ -62,15 +65,12 @@ class NodeFields:
         self.MU = at(model.mu)
         A = at(model.a)
         B = at(model.b)
-        if dom.kind == "polar":
-            t = dom.ht * np.arange(n1)[:, None]
-            ct, st = np.cos(t), np.sin(t)
-            self.AN1 = A * ct + B * st      # radial connection component
-            self.AT1 = -A * st + B * ct     # angular connection component
-            self.R = np.broadcast_to(dom.r_values()[None, :], (n1, n0)).copy()
-        else:
-            self.AN1, self.AT1 = A, B
-            self.R = None
+        (_, self.h0, _), (_, self.h1, _) = dom.axes()
+        self.g, self.g_mid, angle = dom.metric()
+        t = angle[:, None]
+        ct, st = np.cos(t), np.sin(t)
+        self.AN1 = A * ct + B * st      # connection component along axis 1
+        self.AT1 = -A * st + B * ct     # connection component along axis 0
 
     def gradient_arrays(self, values: np.ndarray):
         """Orthonormal (G1, G2) of the generalized gradient at interior nodes."""
@@ -80,14 +80,10 @@ class NodeFields:
         G1 = np.full((n1, n0), np.nan)
         G2 = np.full((n1, n0), np.nan)
         jj, ii = np.nonzero(dom.interior_mask())
-        if dom.kind == "cartesian":
-            du1 = (v[jj, ii + 1] - v[jj, ii - 1]) / (2 * dom.hx)
-            du0 = (v[(jj + 1), ii] - v[(jj - 1), ii]) / (2 * dom.hy)
-        else:
-            jp = (jj + 1) % n1 if dom.periodic else jj + 1
-            jm = (jj - 1) % n1 if dom.periodic else jj - 1
-            du1 = (v[jj, ii + 1] - v[jj, ii - 1]) / (2 * dom.hr)
-            du0 = (v[jp, ii] - v[jm, ii]) / (2 * dom.ht * self.R[jj, ii])
+        jp = (jj + 1) % n1 if dom.periodic else jj + 1
+        jm = (jj - 1) % n1 if dom.periodic else jj - 1
+        du1 = (v[jj, ii + 1] - v[jj, ii - 1]) / (2 * self.h1)
+        du0 = (v[jp, ii] - v[jm, ii]) / (2 * self.h0 * self.g[ii])
         lam = self.LAM[jj, ii]
         G1[jj, ii] = du1 / lam - self.AN1[jj, ii]
         G2[jj, ii] = du0 / lam - self.AT1[jj, ii]
@@ -106,7 +102,7 @@ class _EdgeFamily:
     an: np.ndarray         # normal connection component (edge-averaged)
     at: np.ndarray         # tangential connection component (edge-averaged)
     len_n: np.ndarray      # normal length scale (denominator of du)
-    coef: np.ndarray       # flux coefficient gmul * lam * mu2 (gmul = rbar on radial edges)
+    coef: np.ndarray       # flux coefficient gmul * lam * mu2 (gmul = g_mid on axis-1 edges)
     t_ids: np.ndarray      # (m, 4) stencil ids of the tangential form
     t_w: np.ndarray        # (m, 4) weights of the tangential form
     cA: np.ndarray         # +coefficient into the PDE row of A (0 if none)
@@ -139,12 +135,8 @@ class AssemblyCache(NodeFields):
         self.pde_row_mask = st.ravel()[flat_unknown] == INTERIOR
 
         lam2 = self.LAM ** 2
-        if dom.kind == "polar":
-            self.inv_fac = 1.0 / (lam2 * self.R)
-            self.cell = lam2 * self.R * dom.hr * dom.ht
-        else:
-            self.inv_fac = 1.0 / lam2
-            self.cell = lam2 * dom.hx * dom.hy
+        self.inv_fac = 1.0 / (lam2 * self.g)
+        self.cell = lam2 * self.g * self.h1 * self.h0
 
         self.slope0_ids, self.slope0_w = self._slope_form(axis=0)
         self.slope1_ids, self.slope1_w = self._slope_form(axis=1)
@@ -218,10 +210,7 @@ class AssemblyCache(NodeFields):
         carried neighbour on the axis gets a zero-weight form anchored on
         itself, so padded entries never touch NaN values."""
         dom = self.dom
-        if axis == 0:
-            d = dom.hy if dom.kind == "cartesian" else dom.ht * dom.r_values()
-        else:
-            d = dom.hx if dom.kind == "cartesian" else dom.hr
+        d = self.h0 * self.g if axis == 0 else self.h1
         here = np.arange(self.n1 * self.n0).reshape(self.n1, self.n0)
         nb_p, ok_p = dom.neighbors(axis, 1)
         nb_m, ok_m = dom.neighbors(axis, -1)
@@ -239,12 +228,10 @@ class AssemblyCache(NodeFields):
         if axis == 1:
             jA, iA = np.meshgrid(np.arange(n1), np.arange(n0 - 1), indexing="ij")
             jB, iB = jA, iA + 1
-        elif dom.kind == "polar" and dom.periodic:
-            jA, iA = np.meshgrid(np.arange(n1), np.arange(n0), indexing="ij")
-            jB, iB = (jA + 1) % n1, iA
         else:
-            jA, iA = np.meshgrid(np.arange(n1 - 1), np.arange(n0), indexing="ij")
-            jB, iB = jA + 1, iA
+            rows = n1 if dom.periodic else n1 - 1   # theta wraps on periodic lattices
+            jA, iA = np.meshgrid(np.arange(rows), np.arange(n0), indexing="ij")
+            jB, iB = (jA + 1) % n1, iA
 
         Af = (jA * n0 + iA).ravel()
         Bf = (jB * n0 + iB).ravel()
@@ -260,23 +247,13 @@ class AssemblyCache(NodeFields):
         an_e = avg(self.AN1) if axis == 1 else avg(self.AT1)
         at_e = avg(self.AT1) if axis == 1 else avg(self.AN1)
 
-        if dom.kind == "cartesian":
-            len_n = np.full(Af.shape, dom.hx if axis == 1 else dom.hy)
-            gmul = np.ones(Af.shape)
-            div = dom.hx if axis == 1 else dom.hy
-            htrans = np.full(Af.shape, dom.hy if axis == 1 else dom.hx)
-        elif axis == 1:
-            rA = self.R.ravel()[Af]
-            len_n = np.full(Af.shape, dom.hr)
-            gmul = rA + 0.5 * dom.hr
-            div = dom.hr
-            htrans = np.full(Af.shape, dom.ht)
-        else:
-            rA = self.R.ravel()[Af]
-            len_n = dom.ht * rA
-            gmul = np.ones(Af.shape)
-            div = dom.ht
-            htrans = np.full(Af.shape, dom.hr)
+        # the lattice step across the edge, the edge's length, the scale g of
+        # the transverse length at its midpoint, and the transverse step
+        col = Af % n0
+        div = self.h1 if axis == 1 else self.h0
+        len_n = np.full(Af.shape, div) if axis == 1 else div * self.g[col]
+        gmul = self.g_mid[col] if axis == 1 else 1.0
+        htrans = np.full(Af.shape, self.h0 if axis == 1 else self.h1)
 
         s_ids = (self.slope0_ids if axis == 1 else self.slope1_ids).reshape(-1, 2)
         s_w = (self.slope0_w if axis == 1 else self.slope1_w).reshape(-1, 2)

@@ -506,6 +506,25 @@ def test_unknown_boundary_arc_exit_1(tmp_path, capsys, shape, boundary):
     assert not (tmp_path / "out" / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("shape", [
+    {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0},
+    {"shape": "disk", "radius": 1.0, "h": 0},
+    {"shape": "rectangle", "rect": [1, -1, -1, 1], "h": 0.25},
+    {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": -0.25},
+    {"shape": "annulus", "r0": 1.0, "r1": 2.0, "nr": 0, "ntheta": 8},
+    {"shape": "annulus", "r0": 1.0, "r1": 2.0, "nr": 4, "ntheta": 0},
+    {"shape": "annulus", "r0": 2.0, "r1": 1.0, "nr": 4, "ntheta": 8},
+    {"shape": "annulus", "r0": 1.0, "r1": 1.0, "nr": 4, "ntheta": 8},
+    {"shape": "annulus", "r0": 1.0, "r1": 2.0, "nr": 4, "ntheta": 1},
+])
+def test_degenerate_lattice_exit_1(tmp_path, capsys, shape):
+    cfg = write_cfg(tmp_path, {"model": {"preset": "euclidean"}, "domain": shape,
+                               "boundary": "x", "output": {"dir": str(tmp_path / "out")}})
+    assert main(["solve", "--config", cfg]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
 def test_experiment_removable_custom_annulus_exit_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "model": {"preset": "warped-plane", "params": ["r"]},

@@ -86,6 +86,27 @@ def test_annulus_needs_positive_inner_radius():
         GridDomain.annulus(0.0, 1.0, 4, 8)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: GridDomain.rectangle(-1, 1, -1, 1, 0.0), "spacing h"),
+    (lambda: GridDomain.rectangle(-1, 1, -1, 1, -0.25), "spacing h"),
+    (lambda: GridDomain.rectangle(-1, 1, -1, 1, np.nan), "spacing h"),
+    (lambda: GridDomain.rectangle(1, -1, -1, 1, 0.25), "x0 < x1"),
+    (lambda: GridDomain.rectangle(-1, 1, 1, 1, 0.25), "y0 < y1"),
+    (lambda: GridDomain.masked(-1, 1, -1, 1, 0.0, keep=lambda x, y: x ** 2 + y ** 2 <= 1),
+     "spacing h"),
+    (lambda: GridDomain.annulus(2.0, 1.0, 4, 8), "r1 > r0"),
+    (lambda: GridDomain.annulus(1.0, 1.0, 4, 8), "r1 > r0"),
+    (lambda: GridDomain.annulus(1.0, 2.0, 0, 8), "nr >= 2"),
+    (lambda: GridDomain.annulus(1.0, 2.0, 1, 8), "nr >= 2"),
+    (lambda: GridDomain.annulus(1.0, 2.0, 4, 0), "ntheta >= 3"),
+    (lambda: GridDomain.annulus(1.0, 2.0, 4, 2), "ntheta >= 3"),
+], ids=["h-0", "h-negative", "h-nan", "x-reversed", "y-empty", "masked-h-0",
+        "r-reversed", "r-equal", "nr-0", "nr-1", "ntheta-0", "ntheta-2"])
+def test_degenerate_lattice_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_masked_disk_classification():
     dom = GridDomain.masked(-1, 1, -1, 1, 0.125,
                             keep=lambda x, y: x ** 2 + y ** 2 <= 1 + 1e-12)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from killing_graphs.experiments import disk_sin2theta_domain, sol3_exact_domain
-from killing_graphs.grids import BOUNDARY, GridDomain, ScalarGrid
+from killing_graphs.grids import BOUNDARY, INTERIOR, GridDomain, ScalarGrid
 from killing_graphs.models import builtin_model, gauge_change
 from killing_graphs.fields import expr_field
 from killing_graphs.operator import (AssemblyCache, NodeFields, angle_function,
@@ -48,6 +48,27 @@ def test_gradient_sol3_exact_graph():
     # (0, u_y/lambda) = (0, 1/y) = (0, 0.5); central differencing is O(h^2)
     assert g1 == pytest.approx(0.0, abs=1e-12)
     assert g2 == pytest.approx(0.5, abs=1e-3)
+
+
+def test_polar_gradient_second_order_in_the_rotated_frame():
+    # on an annulus (G1, G2) are the radial and angular components about its
+    # centre; u = sin x + x y^2 under nil3(0.5), with the chart gradient
+    # (u_x - a, u_y - b) = (cos x + y^2 + y/2, 2 x y - x/2) rotated by theta
+    tau, (cx, cy) = 0.5, (0.3, -0.2)
+    m = builtin_model("nil3", (tau,))
+    errs = []
+    for nr in (8, 16, 32):
+        dom = GridDomain.annulus(1.0, 2.0, nr, 4 * nr, center=(cx, cy))
+        u = ScalarGrid.from_function(dom, lambda x, y: np.sin(x) + x * y ** 2)
+        G1, G2 = NodeFields(m, dom).gradient_arrays(u.values)
+        X, Y = dom.coords()
+        t = np.arctan2(Y - cy, X - cx)
+        gx, gy = np.cos(X) + Y ** 2 + tau * Y, 2 * X * Y - tau * X
+        inter = dom.interior_mask()
+        errs.append(max(np.max(np.abs(G1 - (gx * np.cos(t) + gy * np.sin(t)))[inter]),
+                        np.max(np.abs(G2 - (-gx * np.sin(t) + gy * np.cos(t)))[inter])))
+    assert errs[0] <= 0.25
+    assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 
 
 def test_area_element_and_angle():
@@ -318,6 +339,87 @@ def _reference_slope_forms(dom, axis):
             else:
                 ids[j, i] = (j * n0 + i, j * n0 + i)
     return ids, w
+
+
+def _reference_geometry(model, dom):
+    """The lattice geometry of each kind written out on its own: chart
+    coordinates, the connection components in the lattice frame (rotated to
+    the radial/angular frame on polar lattices), inv_fac, cell and, edge by
+    edge, every edge-family table that does not depend on u."""
+    n1, n0 = dom.shape
+    polar = dom.kind == "polar"
+    if polar:
+        r = dom.r_start + dom.hr * np.arange(n0)
+        t = dom.ht * np.arange(n1)[:, None]
+        X = dom.center[0] + r[None, :] * np.cos(t)
+        Y = dom.center[1] + r[None, :] * np.sin(t)
+        h1, h0 = dom.hr, dom.ht
+    else:
+        r = np.ones(n0)
+        X, Y = np.meshgrid(dom.x_start + dom.hx * np.arange(n0),
+                           dom.y_start + dom.hy * np.arange(n1))
+        h1, h0 = dom.hx, dom.hy
+    carried = dom.carried()
+    fields = {}
+    for name in ("lam", "mu", "a", "b"):
+        fields[name] = np.full((n1, n0), np.nan)
+        fields[name][carried] = getattr(model, name).value(X[carried], Y[carried])
+    LAM, MU, A, B = (fields[k] for k in ("lam", "mu", "a", "b"))
+    if polar:
+        AN1, AT1 = A * np.cos(t) + B * np.sin(t), -A * np.sin(t) + B * np.cos(t)
+        inv_fac, cell = 1.0 / (LAM ** 2 * r), LAM ** 2 * r * dom.hr * dom.ht
+    else:
+        AN1, AT1 = A, B
+        inv_fac, cell = 1.0 / LAM ** 2, LAM ** 2 * dom.hx * dom.hy
+    tables = {"X": X, "Y": Y, "AN1": AN1, "AT1": AT1, "inv_fac": inv_fac, "cell": cell}
+
+    st = dom.status
+    families = []
+    for axis in (1, 0):
+        rows = {k: [] for k in ("A", "B", "an", "at", "len_n", "coef", "cA", "cB", "htrans")}
+        for j in range(n1 if axis == 1 or dom.periodic else n1 - 1):
+            for i in range(n0 - 1 if axis == 1 else n0):
+                jb, ib = (j, i + 1) if axis == 1 else ((j + 1) % n1, i)
+                a, b = (j, i), (jb, ib)
+                if not (carried[a] and carried[b]) or INTERIOR not in (st[a], st[b]):
+                    continue
+                lam = 0.5 * (LAM[a] + LAM[b])
+                mu2 = (0.5 * (MU[a] + MU[b])) ** 2
+                n_, t_ = (AN1, AT1) if axis == 1 else (AT1, AN1)
+                if axis == 1:
+                    len_n, div, htrans = h1, h1, h0
+                    gmul = r[i] + 0.5 * dom.hr if polar else 1.0
+                else:
+                    len_n, div, htrans, gmul = h0 * r[i], h0, h1, 1.0
+                rows["A"].append(j * n0 + i)
+                rows["B"].append(jb * n0 + ib)
+                rows["an"].append(0.5 * (n_[a] + n_[b]))
+                rows["at"].append(0.5 * (t_[a] + t_[b]))
+                rows["len_n"].append(len_n)
+                rows["coef"].append(gmul * lam * mu2)
+                rows["cA"].append(inv_fac[a] / div if st[a] == INTERIOR else 0.0)
+                rows["cB"].append(inv_fac[b] / div if st[b] == INTERIOR else 0.0)
+                rows["htrans"].append(htrans)
+        families.append({k: np.array(v) for k, v in rows.items()})
+    return tables, families
+
+
+@pytest.mark.parametrize("case", _assembly_cases(), ids=lambda c: c[0])
+def test_geometry_tables_bitwise_equal_to_reference(case):
+    # the assembly reference above builds its fluxes from the cache's own
+    # len_n and coef, so these tables are checked against formulas here
+    _, model, dom, _ = case
+    cache = AssemblyCache(model, dom)
+    tables, families = _reference_geometry(model, dom)
+    carried = dom.carried()
+    X, Y = dom.coords()
+    assert np.array_equal(X, tables["X"]) and np.array_equal(Y, tables["Y"])
+    for name in ("AN1", "AT1", "inv_fac", "cell"):
+        assert np.array_equal(getattr(cache, name)[carried], tables[name][carried]), name
+    for fam, ref in zip(cache.families, families):
+        for name, want in ref.items():
+            got = getattr(fam, name)
+            assert got.shape == want.shape and np.array_equal(got, want), name
 
 
 def _reference_flux(fam, u_flat, Wf):
