@@ -267,6 +267,10 @@ def cmd_growth(cfg: dict, args) -> int:
         # dropped from the arc at each radius used
         "r0": float(prof.radii[0]),
         "dropped_arc_samples": [n_arc - len(a.points) for a in prof.arcs],
+        # the geodesic flow's accepted steps out to r_max and the sum of
+        # their local error estimates; null when every circle has a closed form
+        "flow_steps": prof.arcs[-1].flow_steps,
+        "flow_error_estimate": prof.arcs[-1].flow_error_estimate,
     })
     print(f"growth: verdict {prof.verdict}, g({prof.radii[-1]:g}) = {prof.g[-1]:.9g}; "
           f"wrote {out/'growth.csv'}")

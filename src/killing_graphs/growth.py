@@ -9,9 +9,9 @@ the rate of g; the module also carries the iterated-log comparison family
 and the closed-form wedge and rotational-space estimates.
 
 Circles come from closed forms on the flat and hyperbolic bases.  On other
-bases they are traced by the RK4 geodesic flow from p, and a radius sweep
-(``g_of_r``) traces it once outward, with steps of at most r_max/256 that
-land on every radius.
+bases they are traced by the geodesic flow from p, in Dormand-Prince 5(4)
+steps sized by their local error estimate, and a radius sweep (``g_of_r``)
+traces it once outward, with steps that land on every radius.
 """
 
 from __future__ import annotations
@@ -41,6 +41,25 @@ class GeodesicArc:
     weights: np.ndarray   # base-metric arc length per sample
     radius: float
     center: tuple
+    # on a traced circle, the accepted flow steps from p out to this radius
+    # and the sum of their local error estimates (max norm); None on closed forms
+    flow_steps: Optional[int] = None
+    flow_error_estimate: Optional[float] = None
+
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Row i
+# gives stage i+1 from stages 0..i; the last row is the fifth-order solution,
+# so its stage is the first stage of the next step.  _DP_E is b - b_hat.
+_DP_A = np.array([
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_FLOW_TOL = 1e-11   # accepted local error per step, relative to 1 + |state|
 
 
 def _circles(model: MetricModel, p, radii, n_samples: int,
@@ -50,8 +69,12 @@ def _circles(model: MetricModel, p, radii, n_samples: int,
     radius is traced.
 
     Without a closed form, geodesics of lambda^2(dx^2+dy^2) are traced from p
-    once outward (RK4).  Steps are at most ``radii[-1]/256``, and each gap
-    between radii is cut into equal steps, so every step lands on a radius.
+    once outward by the Dormand-Prince 5(4) flow.  A step is accepted when
+    err = max |e| / (``_FLOW_TOL`` (1 + |y|)) <= 1, with e its local error
+    estimate and y the state, and the next step is scaled by 0.9 err^(-1/5)
+    within [0.2, 5].  No step crosses a radius: one cut short to land on it keeps
+    the longer step for the next gap.  A non-finite error estimate, or a
+    step below 1e-14 r, raises ``ChartExitError``.
     """
     if float(radii[0]) <= 0:
         raise ValueError("radius must be positive")
@@ -61,22 +84,27 @@ def _circles(model: MetricModel, p, radii, n_samples: int,
     kind = model.base_kind
     if kind == "hyperbolic-disk" and np.hypot(x0, y0) >= 1e-12:
         kind = "generic"  # the closed form is centred at the origin
-    if kind not in ("flat", "hyperbolic-disk", "hyperbolic-halfplane"):
+    traced = kind not in ("flat", "hyperbolic-disk", "hyperbolic-halfplane")
+    if traced:
         lam = model.lam
         lam0 = float(lam.value(x0, y0))
         state = np.array([np.full(n_samples, x0), np.full(n_samples, y0),
                           np.cos(phis) / lam0, np.sin(phis) / lam0])
-        h_max = float(radii[-1]) / 256
-        r_prev = 0.0
+        t, h = 0.0, float(radii[0])
+        n_steps, err_sum = 0, 0.0
+        K = np.empty((7, 4, n_samples))   # the stages of one step
+        K_flat = K.reshape(7, -1)
 
-        def rhs(state):
+        def rhs(state, out):
             x, y, vx, vy = state
             lv = lam.value(x, y)
             lx, ly = lam.partials(x, y)
             px, py = lx / lv, ly / lv
-            ax = -(px * (vx * vx - vy * vy) + 2.0 * py * vx * vy)
-            ay = -(py * (vy * vy - vx * vx) + 2.0 * px * vx * vy)
-            return np.array([vx, vy, ax, ay])
+            out[0], out[1] = vx, vy
+            out[2] = -(px * (vx * vx - vy * vy) + 2.0 * py * vx * vy)
+            out[3] = -(py * (vy * vy - vx * vx) + 2.0 * px * vx * vy)
+
+        rhs(state, K[0])
 
     for r in radii:
         r = float(r)
@@ -94,15 +122,30 @@ def _circles(model: MetricModel, p, radii, n_samples: int,
             pts = np.column_stack([x0 + Re * np.cos(phis), ys])
             w = Re * dphi / ys
         else:
-            n_steps = max(1, int(np.ceil((r - r_prev) / h_max)))
-            dt = (r - r_prev) / n_steps
-            for _ in range(n_steps):
-                k1 = rhs(state)
-                k2 = rhs(state + 0.5 * dt * k1)
-                k3 = rhs(state + 0.5 * dt * k2)
-                k4 = rhs(state + dt * k3)
-                state = state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            r_prev = r
+            while t < r:
+                cut = h >= r - t
+                dt = r - t if cut else h
+                for i, a in enumerate(_DP_A, 1):
+                    stage = state + ((dt * a[:i]) @ K_flat[:i]).reshape(4, -1)
+                    rhs(stage, K[i])
+                e = np.abs((dt * _DP_E) @ K_flat)
+                err = float(np.max(e / (_FLOW_TOL * (1.0 + np.abs(state.ravel())))))
+                if not np.isfinite(err):
+                    raise ChartExitError(f"geodesic flow to radius {r} gave a "
+                                         "non-finite error estimate")
+                fac = 5.0 if err <= (0.9 / 5.0) ** 5 else max(0.2, 0.9 * err ** -0.2)
+                if err <= 1.0:
+                    t = r if cut else t + dt
+                    state = stage
+                    K[0] = K[6]
+                    n_steps += 1
+                    err_sum += float(np.max(e))
+                    h = max(h, dt * fac) if cut else dt * fac
+                else:
+                    h = dt * fac
+                    if h < 1e-14 * r:
+                        raise ChartExitError(f"geodesic flow to radius {r} stalled "
+                                             f"at step {h:.3g}")
             pts = np.column_stack([state[0], state[1]])
             lamv = lam.value(pts[:, 0], pts[:, 1])
             nxt = np.roll(pts, -1, axis=0)
@@ -116,7 +159,9 @@ def _circles(model: MetricModel, p, radii, n_samples: int,
         if mask is not None:
             keep = np.asarray(mask(pts[:, 0], pts[:, 1]), dtype=bool)
             pts, w = pts[keep], w[keep]
-        yield GeodesicArc(points=pts, weights=w, radius=r, center=(x0, y0))
+        yield GeodesicArc(points=pts, weights=w, radius=r, center=(x0, y0),
+                          flow_steps=n_steps if traced else None,
+                          flow_error_estimate=err_sum if traced else None)
 
 
 def geodesic_circle(model: MetricModel, p, r: float, n_samples: int = 512,
@@ -124,11 +169,11 @@ def geodesic_circle(model: MetricModel, p, r: float, n_samples: int = 512,
     """Sampled geodesic circle of base-metric radius r about p.
 
     Closed forms cover the flat and hyperbolic presets; other metrics are
-    traced by the RK4 geodesic flow from p, in 256 steps of r/256.  A radius
-    sweep (``g_of_r``) traces the flow once outward, with steps of at most
-    r_max/256 that land on every radius.  Both paths sample the directions
-    2 pi (k + 1/2)/n.  Samples outside ``mask`` are dropped (the intersection
-    with the domain).
+    traced by the geodesic flow from p, in Dormand-Prince 5(4) steps whose
+    local error estimate is at most 1e-11 (1 + |state|).  A radius sweep
+    (``g_of_r``) traces the flow once outward, with steps that land on every
+    radius.  Both paths sample the directions 2 pi (k + 1/2)/n.  Samples
+    outside ``mask`` are dropped (the intersection with the domain).
     """
     return next(_circles(model, p, [r], n_samples, mask))
 
@@ -215,7 +260,8 @@ def g_of_r(model: MetricModel, p, r0: float, r_max: float, n_radii: int = 200,
     spacing="linear" for a uniform grid.  The reported verdict classifies
     the dyadic-window increments of g.  When a mask is supplied, the first
     radius whose arc keeps at least ``_MIN_ARC_SAMPLES`` samples becomes the
-    effective r0.
+    effective r0.  The last arc carries the whole sweep's flow steps and
+    error estimate.
     """
     if not r_max > r0 > 0:
         raise ValueError("need r_max > r0 > 0")

@@ -194,6 +194,25 @@ def test_growth_json_records_effective_r0_and_dropped_samples(tmp_path):
     assert rep["n_radii"] == len(written) == 40 - first
 
 
+@pytest.mark.parametrize("preset, p", [("sol3-disk", [0.3, 0.0]), ("euclidean", [0, 0])])
+def test_growth_json_records_flow_steps_and_error_estimate(tmp_path, preset, p):
+    # off centre the disk's circles are traced by the flow; the euclidean
+    # circles about the origin have a closed form, and nothing is traced
+    cfg = write_cfg(tmp_path, {
+        "model": {"preset": preset},
+        "growth": {"p": p, "r0": 0.1, "r_max": 2.0, "n_radii": 12, "n_arc": 64},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["growth", "--config", cfg]) == 0
+    rep = json.loads((tmp_path / "out" / "growth.json").read_text())
+    if preset == "euclidean":
+        assert rep["flow_steps"] is None and rep["flow_error_estimate"] is None
+        return
+    # at least one accepted step lands on each radius
+    assert isinstance(rep["flow_steps"], int) and rep["flow_steps"] >= 12
+    assert 0.0 < rep["flow_error_estimate"] <= 1e-8
+
+
 @pytest.mark.parametrize("command, cfg, key", [
     ("radial", {"radial": {"mu": "r", "c": 2.0, "r0": 1.0, "r1": 2.0, "n_samples": 0}},
      "n_samples"),

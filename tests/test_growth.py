@@ -41,7 +41,7 @@ def test_masked_semicircle():
 def test_flow_traced_circle_matches_closed_form():
     m = builtin_model("sol3-disk")
     closed = geodesic_circle(m, (0, 0), 1.0, 64)
-    m.base_kind = "generic"  # force the RK4 geodesic-flow path
+    m.base_kind = "generic"  # force the geodesic-flow path
     arc = geodesic_circle(m, (0, 0), 1.0, 64)
     re = np.hypot(arc.points[:, 0], arc.points[:, 1])
     assert np.max(np.abs(re - np.tanh(0.5))) <= 1e-10
@@ -60,7 +60,7 @@ def test_circle_exits_chart():
 def test_flow_profile_matches_closed_form_at_disk_centre():
     m = builtin_model("sol3-disk")
     closed = g_of_r(m, (0, 0), 0.1, 2.0, n_radii=200)
-    m.base_kind = "generic"  # one outward RK4 pass for all 200 radii
+    m.base_kind = "generic"  # one outward flow pass for all 200 radii
     flow = g_of_r(m, (0, 0), 0.1, 2.0, n_radii=200)
     assert np.array_equal(flow.radii, closed.radii)
     assert np.max(np.abs(flow.L / closed.L - 1.0)) <= 1e-5
@@ -98,6 +98,49 @@ def test_sweep_stops_at_first_chart_exit(monkeypatch):
         g_of_r(m, (0, 0), 0.3, 1.8, n_radii=6, spacing="linear")
     assert reached
     assert max(reached) <= 1.2 + 1e-12
+
+
+def _disk_circle_exact(p, r, n):
+    """Samples 2 pi (k + 1/2)/n of the Poincare-disk circle of radius r about
+    p: the centred circle tanh(r/2) e^{i phi} moved by z -> (z + p)/(1 + conj(p) z)."""
+    w = np.tanh(r / 2.0) * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+    pc = complex(*p)
+    return (w + pc) / (1.0 + np.conj(pc) * w)
+
+
+@pytest.mark.parametrize("p", [(0.3, 0.0), (0.3, 0.1), (-0.2, 0.35)])
+def test_offcentre_flow_circles_match_exact(p):
+    m = builtin_model("sol3-disk")
+    arcs = [geodesic_circle(m, p, r, 256) for r in (0.1, 0.7, 1.3, 2.0)]
+    arcs += g_of_r(m, p, 0.1, 2.0, n_radii=40, n_arc=256).arcs
+    for arc in arcs:
+        z = arc.points[:, 0] + 1j * arc.points[:, 1]
+        assert np.max(np.abs(z - _disk_circle_exact(p, arc.radius, 256))) <= 2e-11
+
+
+def test_adaptive_flow_raises_on_nan_partials(monkeypatch):
+    from killing_graphs.fields import ScalarField, callable_field, const_field
+    from killing_graphs.growth import ChartExitError
+    from killing_graphs.models import MetricModel, Rect
+    lam = callable_field(lambda x, y: np.ones(np.broadcast(x, y).shape),
+                         fx=lambda x, y: np.where(x > 0.5, np.nan, 0.0),
+                         fy=lambda x, y: np.zeros(np.broadcast(x, y).shape))
+    m = MetricModel(chart=Rect(-1, 1, -1, 1), lam=lam, mu=const_field(1.0),
+                    a=const_field(0.0), b=const_field(0.0))
+    calls = [0]
+    partials = ScalarField.partials
+
+    def counted(self, x, y):
+        calls[0] += 1
+        if calls[0] > 1000:  # a flow that shrinks its step forever
+            raise RuntimeError("the geodesic flow does not stop")
+        return partials(self, x, y)
+
+    monkeypatch.setattr(ScalarField, "partials", counted)
+    # radii 0.1 + 0.8 k/19: the circle of radius 0.5210... is the first to
+    # reach x > 0.5, where the flow's right-hand side is NaN
+    with pytest.raises(ChartExitError, match=r"radius 0\.5210"):
+        g_of_r(m, (0, 0), 0.1, 0.9, n_radii=20, spacing="linear")
 
 
 # -- L functionals -----------------------------------------------------------------
