@@ -63,7 +63,6 @@ class ScalarField:
     fxx: Optional[Callable] = None
     fxy: Optional[Callable] = None
     fyy: Optional[Callable] = None
-    source: Optional[str] = None  # expression text, when parsed from one
 
     def value(self, x, y):
         return np.asarray(self.fn(np.asarray(x, dtype=np.float64),
@@ -90,14 +89,13 @@ def const_field(c: float) -> ScalarField:
     c = float(c)
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
     return ScalarField(fn=lambda x, y: np.full(np.broadcast(x, y).shape, c),
-                       fx=zero, fy=zero, fxx=zero, fxy=zero, fyy=zero,
-                       source=repr(c))
+                       fx=zero, fy=zero, fxx=zero, fxy=zero, fyy=zero)
 
 
 def expr_field(source: str) -> ScalarField:
     """Field backed by a parsed expression; derivatives are numeric."""
     ast = ex.parse_expr(source)
-    return ScalarField(fn=lambda x, y: ex.evaluate(ast, x, y), source=source)
+    return ScalarField(fn=lambda x, y: ex.evaluate(ast, x, y))
 
 
 def callable_field(fn, fx=None, fy=None, **kw) -> ScalarField:

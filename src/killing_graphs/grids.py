@@ -11,7 +11,8 @@ Only :meth:`GridDomain.axes` and :meth:`GridDomain.metric` turn a kind into
 geometry.  A step h0 along axis 0 has length g * h0 (g = r on polar
 lattices, 1 on cartesian ones), g_mid is g at the midpoint of each axis-1
 edge, and each row's frame is the chart frame turned by its angle (theta,
-or 0 on cartesian lattices).
+or 0 on cartesian lattices).  Only this module knows the topology: which
+node neighbours which (theta wraps), and how a lattice coarsens.
 
 Node status: INTERIOR nodes carry the PDE equation, BOUNDARY nodes carry
 Dirichlet data, EXCLUDED nodes are outside the domain, and a BRIDGE node is
@@ -28,18 +29,19 @@ Values move between lattices by one rule, :meth:`ScalarGrid.transfer`:
 coinciding nodes (:func:`coincident_nodes`) copy exactly, and Dirichlet
 data and bridge values come from the target lattice.  The other nodes
 interpolate.  Onto the lattice with halved steps of a source that carries
-every node (the coarse-to-fine start of nested iteration) they interpolate
-by a limited cubic, one axis at a time: full-multigrid start-up needs an
-interpolation of higher order than the second-order scheme (Trottenberg,
-Oosterlee & Schüller, *Multigrid*, 2001, §2.6), and the limiter keeps jumps
-in the boundary data from overshooting (Fritsch & Carlson, SIAM J. Numer.
-Anal. 1980).  Onto any other lattice they interpolate bilinearly.
+every node (the coarse-to-fine start of nested iteration, cartesian or
+polar) they interpolate by a limited cubic, one axis at a time, wrapping
+along a periodic theta: full-multigrid start-up needs an interpolation of
+higher order than the second-order scheme (Trottenberg, Oosterlee &
+Schüller, *Multigrid*, 2001, §2.6), and the limiter keeps jumps in the
+boundary data from overshooting (Fritsch & Carlson, SIAM J. Numer. Anal.
+1980).  Onto any other lattice they interpolate bilinearly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -220,7 +222,24 @@ class GridDomain:
         new._check()
         return new
 
-    # -- neighbours and validation --------------------------------------------
+    # -- topology and validation ----------------------------------------------
+
+    def intervals(self):
+        """Interval counts of axes 0 and 1; a periodic axis has one per node."""
+        n1, n0 = self.shape
+        return (n1 if self.periodic else n1 - 1), n0 - 1
+
+    def coarsened(self) -> Optional["GridDomain"]:
+        """The lattice of every other node: steps doubled, bridges dropped
+        with their nodes turned interior; None on an odd interval count."""
+        if any(k % 2 for k in self.intervals()):
+            return None
+        status = self.status[::2, ::2].copy()
+        status[status == BRIDGE] = INTERIOR
+        steps = (dict(hy=2 * self.hy, hx=2 * self.hx) if self.kind == "cartesian"
+                 else dict(ht=2 * self.ht, hr=2 * self.hr))
+        return replace(self, status=status, bdata=self.bdata[::2, ::2].copy(),
+                       bridges={}, **steps)
 
     def neighbors(self, axis: int, step: int):
         """Each node's neighbour ``step`` nodes along ``axis`` (theta wraps on
@@ -333,15 +352,18 @@ def _midpoints(v: np.ndarray) -> np.ndarray:
     return np.clip(mid, np.minimum(lo, hi), np.maximum(lo, hi))
 
 
-def _refine(values: np.ndarray) -> np.ndarray:
+def _refine(values: np.ndarray, periodic: bool) -> np.ndarray:
     """``values`` on the lattice with halved steps: the nodes copied, the
     midpoints along axis 1 from :func:`_midpoints`, then those along axis 0
-    from the rows so made."""
+    from the rows so made.  A periodic axis 0 wraps, so each of its
+    midpoints, the one after the last row included, takes the inner cubic."""
     for axis in (1, 0):
         v = np.moveaxis(values, axis, 0)
-        out = np.empty((2 * v.shape[0] - 1,) + v.shape[1:])
+        mid = (_midpoints(np.concatenate([v[-1:], v, v[:2]]))[1:-1]
+               if periodic and axis == 0 else _midpoints(v))
+        out = np.empty((len(v) + len(mid),) + v.shape[1:])
         out[::2] = v
-        out[1::2] = _midpoints(v)
+        out[1::2] = mid
         values = np.moveaxis(out, 0, axis)
     return values
 
@@ -382,10 +404,11 @@ class ScalarGrid:
 
         A node of ``target`` that coincides with a node of this lattice (see
         :func:`coincident_nodes`) copies its value exactly.  When ``target``
-        is this cartesian lattice with halved steps, and this lattice
-        carries every node and has at least 4 on each axis, every midpoint
-        comes from the limited cubic of :func:`_refine`; onto any other
-        lattice the other carried nodes interpolate bilinearly
+        is this lattice with halved steps (twice its :meth:`intervals
+        <GridDomain.intervals>`), and this lattice carries every node and
+        has at least 4 on each axis, every midpoint comes from the limited
+        cubic of :func:`_refine`, which wraps along a periodic theta; onto
+        any other lattice the other carried nodes interpolate bilinearly
         (:meth:`sample`, cartesian lattices only).  Dirichlet data and
         bridge values come from ``target``: its boundary nodes take its
         ``bdata`` and each bridge node the mean of its pair.
@@ -393,11 +416,10 @@ class ScalarGrid:
         src = self.domain
         idx = coincident_nodes(src, target)
         n1, n0 = src.shape
-        if (src.kind == "cartesian" and min(n1, n0) >= 4
-                and np.all(np.isin(src.status, (INTERIOR, BOUNDARY)))
-                and idx.shape == (2 * n1 - 1, 2 * n0 - 1)
+        if (min(n1, n0) >= 4 and np.all(np.isin(src.status, (INTERIOR, BOUNDARY)))
+                and target.intervals() == tuple(2 * k for k in src.intervals())
                 and np.array_equal(idx[::2, ::2], np.arange(src.status.size).reshape(n1, n0))):
-            vals = _refine(self.values)
+            vals = _refine(self.values, src.periodic)
         else:
             vals = np.full(target.shape, np.nan)
             hit = idx >= 0

@@ -7,8 +7,8 @@ live on half-edges, coefficients are arithmetic node averages, the normal
 derivative is the one-sided difference across the edge, and the area
 element at the half-edge is computed from the half-edge gradient.  The
 lattice geometry (axis steps h0 and h1, the scale g of axis-0 lengths, each
-row's frame angle) comes from the domain, so one set of formulas serves
-cartesian and polar lattices.
+row's frame angle) and each node's neighbours (theta wraps) come from the
+domain, so one set of formulas serves cartesian and polar lattices.
 
 The same edge tables drive the residual, the exact Jacobian and the
 discrete divergence-theorem check, so the three are consistent by
@@ -30,10 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import as_field
-from .grids import BOUNDARY, BRIDGE, INTERIOR, GridDomain, ScalarGrid
+from .grids import INTERIOR, GridDomain, ScalarGrid
 from .models import MetricModel
-
-_CARRIED = (INTERIOR, BOUNDARY, BRIDGE)
 
 
 def raw_grid(dom: GridDomain, values: np.ndarray) -> ScalarGrid:
@@ -77,11 +75,9 @@ class NodeFields:
         dom = self.dom
         n1, n0 = dom.shape
         v = values
-        G1 = np.full((n1, n0), np.nan)
-        G2 = np.full((n1, n0), np.nan)
+        G1, G2 = np.full((2, n1, n0), np.nan)
         jj, ii = np.nonzero(dom.interior_mask())
-        jp = (jj + 1) % n1 if dom.periodic else jj + 1
-        jm = (jj - 1) % n1 if dom.periodic else jj - 1
+        jp, jm = (dom.neighbors(0, step)[0][jj, ii] // n0 for step in (1, -1))
         du1 = (v[jj, ii + 1] - v[jj, ii - 1]) / (2 * self.h1)
         du0 = (v[jp, ii] - v[jm, ii]) / (2 * self.h0 * self.g[ii])
         lam = self.LAM[jj, ii]
@@ -222,24 +218,16 @@ class AssemblyCache(NodeFields):
 
     def _build_family(self, axis: int) -> _EdgeFamily:
         dom = self.dom
-        n1, n0 = self.n1, self.n0
+        n0 = self.n0
         sflat = dom.status.ravel()
 
-        if axis == 1:
-            jA, iA = np.meshgrid(np.arange(n1), np.arange(n0 - 1), indexing="ij")
-            jB, iB = jA, iA + 1
-        else:
-            rows = n1 if dom.periodic else n1 - 1   # theta wraps on periodic lattices
-            jA, iA = np.meshgrid(np.arange(rows), np.arange(n0), indexing="ij")
-            jB, iB = (jA + 1) % n1, iA
-
-        Af = (jA * n0 + iA).ravel()
-        Bf = (jB * n0 + iB).ravel()
+        # an edge joins a carried node A to its carried neighbour B one step
+        # along ``axis``, one of the two interior; in ascending flat index of A
+        nb, ok = (a.ravel() for a in dom.neighbors(axis, 1))
+        inner = dom.interior_mask().ravel()
+        Af = np.flatnonzero(ok & dom.carried().ravel() & (inner | inner[nb]))
+        Bf = nb[Af]
         stA, stB = sflat[Af], sflat[Bf]
-        active = (np.isin(stA, _CARRIED) & np.isin(stB, _CARRIED)
-                  & ((stA == INTERIOR) | (stB == INTERIOR)))
-        Af, Bf = Af[active], Bf[active]
-        stA, stB = stA[active], stB[active]
 
         avg = lambda arr: 0.5 * (arr.ravel()[Af] + arr.ravel()[Bf])
         lam_e = avg(self.LAM)

@@ -9,11 +9,12 @@ The initial iterate (``SolveReport.start``) comes from one of three places:
 
 - ``given``: the caller's ``init``, such as a full solution carried onto
   its punctured lattice by :meth:`ScalarGrid.transfer`;
-- ``coarse``: nested iteration.  A cartesian lattice with no excluded node,
-  even interval counts and at least ``2 * _MIN_COARSE_INTERVALS`` intervals
-  a side is first solved on the lattice of every other node (recursively),
-  and that converged solution is transferred back by the limited cubic of
-  :meth:`ScalarGrid.transfer`: an interpolation of higher order than the
+- ``coarse``: nested iteration.  A rectangle or an annulus with even
+  interval counts (theta has one per node) and at least
+  ``2 * _MIN_COARSE_INTERVALS`` intervals a side is first solved on the
+  lattice of every other node (recursively), and that converged solution
+  is transferred back by the limited cubic of :meth:`ScalarGrid.transfer`,
+  wrapped along theta: an interpolation of higher order than the
   second-order scheme, as full-multigrid start-up needs (Trottenberg,
   Oosterlee & Schüller, *Multigrid*, 2001, §2.6).  By mesh independence
   (Allgower, Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 1986) the
@@ -81,14 +82,13 @@ finite, or max|u| has grown past ``_RUNAWAY`` times its starting scale
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grids import (BOUNDARY, BRIDGE, EXCLUDED, INTERIOR, GridDomain, ScalarGrid,
-                    coincident_nodes)
+from .grids import BOUNDARY, EXCLUDED, GridDomain, ScalarGrid, coincident_nodes
 from .models import MetricModel
 from .operator import AssemblyCache, nodal_rhs, raw_grid
 
@@ -247,20 +247,12 @@ def _full_grid(dom: GridDomain, interior_vec, cache: AssemblyCache) -> np.ndarra
 
 
 def _coarse_domain(dom: GridDomain) -> Optional[GridDomain]:
-    """The lattice of every other node of ``dom``, with the steps doubled and
-    the bridges dropped; None where nested iteration does not apply: polar
-    lattices, lattices with an excluded node (masks), odd interval counts,
-    or a coarse lattice with fewer than ``_MIN_COARSE_INTERVALS`` intervals
-    on a side."""
-    n1, n0 = dom.shape
-    if (dom.kind != "cartesian" or np.any(dom.status == EXCLUDED)
-            or (n1 - 1) % 2 or (n0 - 1) % 2
-            or min(n1, n0) - 1 < 2 * _MIN_COARSE_INTERVALS):
+    """``dom.coarsened()``, or None where nested iteration does not apply: a
+    lattice with an excluded node (a mask), an odd interval count, or fewer
+    than ``_MIN_COARSE_INTERVALS`` coarse intervals on a side."""
+    if np.any(dom.status == EXCLUDED) or min(dom.intervals()) < 2 * _MIN_COARSE_INTERVALS:
         return None
-    status = dom.status[::2, ::2].copy()
-    status[status == BRIDGE] = INTERIOR
-    return replace(dom, status=status, bdata=dom.bdata[::2, ::2].copy(),
-                   hx=2.0 * dom.hx, hy=2.0 * dom.hy, bridges={})
+    return dom.coarsened()
 
 
 def _runaway(vec: np.ndarray, F: np.ndarray, scale: float) -> str:

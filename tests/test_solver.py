@@ -402,6 +402,31 @@ def test_refinement_transfer_keeps_a_jump_within_its_neighbours():
         assert np.all((lo[where] <= got[where]) & (got[where] <= hi[where]))
 
 
+def test_periodic_refinement_wraps_theta():
+    rng = np.random.default_rng(11)
+    coarse = GridDomain.annulus(1, 2, 8, 32)
+    src = ScalarGrid(coarse, rng.uniform(-1, 1, coarse.shape))
+    fine = GridDomain.annulus(1, 2, 16, 64, inner=lambda x, y: 1.0 + x * y, outer=-2.0)
+    out = src.transfer(fine)
+    c, v = src.values, out.values
+    inter = fine.interior_mask()
+    # coincident nodes: the same bits
+    np.testing.assert_array_equal(v[::2, ::2][inter[::2, ::2]], c[inter[::2, ::2]])
+    # every odd theta row: the clipped inner cubic of its four theta neighbours,
+    # wrapped, so row 63 reads rows 60, 62, 0 and 2
+    j = np.arange(1, 64, 2)
+    a0, a1, a2, a3 = (v[(j + k) % 64, 1:-1] for k in (-3, -1, 1, 3))
+    want = np.clip((9.0 * (a1 + a2) - (a0 + a3)) / 16.0,
+                   np.minimum(a1, a2), np.maximum(a1, a2))
+    assert j[-1] == 63
+    np.testing.assert_allclose(v[j, 1:-1], want, rtol=0, atol=1e-15)
+    # the random data exercise the clip
+    assert np.any(want == np.minimum(a1, a2)) and np.any(want == np.maximum(a1, a2))
+    # the rings: the target's Dirichlet data, not the source values
+    bnd = fine.status == 1
+    np.testing.assert_array_equal(v[bnd], fine.bdata[bnd])
+
+
 def _transfer_by_coincidence_and_bilinear(src, target):
     # the rule for every target that is not the source lattice with halved steps
     idx = coincident_nodes(src.domain, target)
@@ -448,10 +473,14 @@ def test_odd_interval_count_is_not_coarsened():
     rep = solve_dirichlet(builtin_model("euclidean"), odd,
                           config=SolveConfig(max_iters=0))
     assert rep.start == "picard" and rep.coarse_iterations == []
-    # masked and polar lattices keep the Picard start too
+    # masked lattices keep the Picard start too
     assert solver._coarse_domain(GridDomain.masked(
         -1, 1, -1, 1, 1 / 64, keep=lambda x, y: x * x + y * y <= 1)) is None
-    assert solver._coarse_domain(GridDomain.annulus(1, 2, 128, 128)) is None
+    # an annulus halves both axes; theta has one interval per node
+    ann = GridDomain.annulus(1, 2, 128, 128)
+    c = solver._coarse_domain(ann)
+    assert c.shape == (64, 65) and c.hr == 2 * ann.hr and c.ht == 2 * ann.ht
+    assert solver._coarse_domain(GridDomain.annulus(1, 2, 128, 127)) is None
     # the even lattice halves down to 32 intervals a side, bridges dropped
     even = GridDomain.rectangle(0, 1, 0, 1, 1 / 128)
     even = even.with_puncture(even.nearest_node((0.5, 0.5)))
@@ -478,6 +507,21 @@ def test_nested_solve_matches_cold_solve(monkeypatch):
     cold = solve_dirichlet(m, dom)
     assert cold.converged and cold.start == "picard" and cold.coarse_iterations == []
     assert nested.iterations < cold.iterations
+    inter = dom.interior_mask()
+    diff = np.max(np.abs(nested.u.values[inter] - cold.u.values[inter]))
+    assert diff <= 10 * nested.tolerance
+
+
+def test_nested_annulus_solve_matches_picard_start(monkeypatch):
+    m = builtin_model("warped-plane", ("r",))
+    dom = GridDomain.annulus(1, 2, 64, 256, inner=0.0, outer=float(arctan_profile(2.0)(2.0)))
+    nested = solve_dirichlet(m, dom)
+    assert nested.converged and nested.start == "coarse"
+    assert len(nested.coarse_iterations) == 1
+    monkeypatch.setattr(solver, "_MIN_COARSE_INTERVALS", 10 ** 9)
+    cold = solve_dirichlet(m, dom)
+    assert cold.converged and cold.start == "picard" and cold.coarse_iterations == []
+    assert nested.factorizations < cold.factorizations
     inter = dom.interior_mask()
     diff = np.max(np.abs(nested.u.values[inter] - cold.u.values[inter]))
     assert diff <= 10 * nested.tolerance
