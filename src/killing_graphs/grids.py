@@ -47,8 +47,6 @@ import numpy as np
 
 INTERIOR, BOUNDARY, EXCLUDED, BRIDGE = 0, 1, 2, 3
 
-_CARRIED = (INTERIOR, BOUNDARY, BRIDGE)
-
 
 @dataclass
 class GridDomain:
@@ -102,7 +100,8 @@ class GridDomain:
         return (self.center[0] + R * np.cos(T), self.center[1] + R * np.sin(T))
 
     def carried(self):
-        return np.isin(self.status, _CARRIED)
+        """INTERIOR, BOUNDARY and BRIDGE nodes: every status but EXCLUDED."""
+        return self.status != EXCLUDED
 
     def interior_mask(self):
         return self.status == INTERIOR
@@ -241,21 +240,23 @@ class GridDomain:
         return replace(self, status=status, bdata=self.bdata[::2, ::2].copy(),
                        bridges={}, **steps)
 
-    def neighbors(self, axis: int, step: int):
+    def neighbors(self, axis: int, step: int, nodes=None):
         """Each node's neighbour ``step`` nodes along ``axis`` (theta wraps on
         periodic grids): its flat index, or the node's own index where the
-        lattice ends, and whether that neighbour exists and is carried."""
+        lattice ends, and whether that neighbour exists and is carried.
+        ``nodes``, a pair (J, I) of node indices or one node, restricts both
+        to those nodes; by default they cover the lattice."""
         n1, n0 = self.status.shape
-        J, I = np.indices((n1, n0))
+        J, I = np.indices((n1, n0)) if nodes is None else nodes
         if axis == 0:
             jj, ii = J + step, I
             if self.periodic:
-                jj %= n1
+                jj = jj % n1
         else:
             jj, ii = J, I + step
         inside = (0 <= jj) & (jj < n1) & (0 <= ii) & (ii < n0)
         nb = np.where(inside, jj * n0 + ii, J * n0 + I)
-        return nb, inside & self.carried().ravel()[nb]
+        return nb, inside & (self.status.ravel()[nb] != EXCLUDED)
 
     def _check(self):
         st = self.status

@@ -12,6 +12,11 @@ Circles come from closed forms on the flat and hyperbolic bases.  On other
 bases they are traced by the geodesic flow from p, in Dormand-Prince 5(4)
 steps sized by their local error estimate, and a radius sweep (``g_of_r``)
 traces it once outward, with steps that land on every radius.
+
+Every cumulative integral here (g of ``g_of_r``, the wedge bound's and the
+E(-1, tau) growth's g) is one trapezoid helper, ``_cumulative_trapezoid``.
+It does scipy's arithmetic in numpy, so the bits are scipy's, and the module
+does not import ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .grids import ScalarGrid
 from .models import MetricModel
@@ -248,6 +252,14 @@ class GrowthProfile:
 _MIN_ARC_SAMPLES = 8   # a masked arc with fewer samples is not integrated
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The trapezoid integrals of y over [x[0], x[k]], starting at 0: the
+    arithmetic of ``scipy.integrate.cumulative_trapezoid(y, x, initial=0)``,
+    so the bits are the same, without importing ``scipy.integrate``."""
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def g_of_r(model: MetricModel, p, r0: float, r_max: float, n_radii: int = 200,
            variant: str = "plain", mask: Optional[Callable] = None,
            n_arc: int = 512, spacing: str = "log") -> GrowthProfile:
@@ -290,7 +302,7 @@ def g_of_r(model: MetricModel, p, r0: float, r_max: float, n_radii: int = 200,
     used = np.asarray(used)
     Ls = np.asarray(Ls)
     invL = 1.0 / Ls
-    g = cumulative_trapezoid(invL, used, initial=0)
+    g = _cumulative_trapezoid(invL, used)
     verdict = window_verdict(used, g)[0]
     return GrowthProfile(p=(float(p[0]), float(p[1])), radii=used, L=Ls, g=g,
                          variant=variant, verdict=verdict, arcs=arcs)
@@ -365,7 +377,7 @@ def sol3_wedge_divergence(theta1: float, theta2: float, rho0: float = 1.0,
     """Integrate the g' lower bound over [rho0, rho_max] and classify."""
     rhos = np.linspace(rho0, rho_max, n)
     gp = np.array([sol3_wedge_bound(theta1, theta2, r).g_lower_integrand for r in rhos])
-    g = cumulative_trapezoid(gp, rhos, initial=0)
+    g = _cumulative_trapezoid(gp, rhos)
     verdict, incs, ratios = window_verdict(rhos, g)
     return verdict, rhos, g
 
@@ -415,7 +427,7 @@ def e1tau_g(H: float, tau: float, domain_kind: str, r0: float, r_max: float,
     """Cumulative g over [r0, r_max] by trapezoid on a dense grid."""
     rs = np.linspace(r0, r_max, n)
     gp = np.array([e1tau_growth(H, tau, domain_kind, float(r)).g_prime for r in rs])
-    g = cumulative_trapezoid(gp, rs, initial=0)
+    g = _cumulative_trapezoid(gp, rs)
     return rs, g
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .fields import ScalarField, as_field, callable_field, const_field
 
@@ -272,6 +271,9 @@ def mu_length(model: MetricModel, line: Polyline) -> float:
     """Length of a polyline in the mu-metric mu^2 * lambda^2 (dx^2 + dy^2),
     by adaptive Gauss-Kronrod quadrature on each segment (relative
     tolerance 1e-10)."""
+    # imported here, as in radial: only a quadrature pays for scipy.integrate
+    from scipy import integrate
+
     total = 0.0
     for p0, p1 in line.segments():
         dx, dy = p1[0] - p0[0], p1[1] - p0[1]

@@ -2,13 +2,14 @@
 
 Pointwise operations (generalized gradient, area element, angle function,
 factorization pairing) use second-order central differences at interior
-nodes.  The mean-curvature residual uses a conservative flux form: fluxes
-live on half-edges, coefficients are arithmetic node averages, the normal
-derivative is the one-sided difference across the edge, and the area
-element at the half-edge is computed from the half-edge gradient.  The
-lattice geometry (axis steps h0 and h1, the scale g of axis-0 lengths, each
-row's frame angle) and each node's neighbours (theta wraps) come from the
-domain, so one set of formulas serves cartesian and polar lattices.
+nodes, evaluated at the one node asked for.  The mean-curvature residual
+uses a conservative flux form: fluxes live on half-edges, coefficients are
+arithmetic node averages, the normal derivative is the one-sided
+difference across the edge, and the area element at the half-edge is
+computed from the half-edge gradient.  The lattice geometry (axis steps h0
+and h1, the scale g of axis-0 lengths, each row's frame angle) and each
+node's neighbours (theta wraps) come from the domain, so one set of
+formulas serves cartesian and polar lattices.
 
 The same edge tables drive the residual, the exact Jacobian and the
 discrete divergence-theorem check, so the three are consistent by
@@ -70,19 +71,21 @@ class NodeFields:
         self.AN1 = A * ct + B * st      # connection component along axis 1
         self.AT1 = -A * st + B * ct     # connection component along axis 0
 
+    def _gradient(self, v: np.ndarray, jj, ii):
+        """(G1, G2) at the interior nodes (jj, ii), arrays or one node, by
+        central differences."""
+        n0 = self.dom.shape[1]
+        up, down = (self.dom.neighbors(0, step, (jj, ii))[0] // n0 for step in (1, -1))
+        du1 = (v[jj, ii + 1] - v[jj, ii - 1]) / (2 * self.h1)
+        du0 = (v[up, ii] - v[down, ii]) / (2 * self.h0 * self.g[ii])
+        lam = self.LAM[jj, ii]
+        return du1 / lam - self.AN1[jj, ii], du0 / lam - self.AT1[jj, ii]
+
     def gradient_arrays(self, values: np.ndarray):
         """Orthonormal (G1, G2) of the generalized gradient at interior nodes."""
-        dom = self.dom
-        n1, n0 = dom.shape
-        v = values
-        G1, G2 = np.full((2, n1, n0), np.nan)
-        jj, ii = np.nonzero(dom.interior_mask())
-        jp, jm = (dom.neighbors(0, step)[0][jj, ii] // n0 for step in (1, -1))
-        du1 = (v[jj, ii + 1] - v[jj, ii - 1]) / (2 * self.h1)
-        du0 = (v[jp, ii] - v[jm, ii]) / (2 * self.h0 * self.g[ii])
-        lam = self.LAM[jj, ii]
-        G1[jj, ii] = du1 / lam - self.AN1[jj, ii]
-        G2[jj, ii] = du0 / lam - self.AT1[jj, ii]
+        G1, G2 = np.full((2,) + self.dom.shape, np.nan)
+        jj, ii = np.nonzero(self.dom.interior_mask())
+        G1[jj, ii], G2[jj, ii] = self._gradient(values, jj, ii)
         return G1, G2
 
 
@@ -360,13 +363,16 @@ class AssemblyCache(NodeFields):
 def generalized_gradient(model: MetricModel, u: ScalarGrid, node,
                          fields: Optional[NodeFields] = None):
     """(G1, G2) at one interior node: (u_x/lambda - a, u_y/lambda - b) in the
-    orthonormal chart frame (radial/angular frame on polar grids)."""
+    orthonormal chart frame (radial/angular frame on polar grids): the
+    differences of :meth:`NodeFields.gradient_arrays` at this node alone,
+    with the same bits."""
     nf = fields or NodeFields(model, u.domain)
-    G1, G2 = nf.gradient_arrays(u.values)
     j, i = node
-    if not np.isfinite(G1[j, i]):
-        raise ValueError(f"node {node} is not interior")
-    return float(G1[j, i]), float(G2[j, i])
+    if u.domain.status[j, i] == INTERIOR:
+        g1, g2 = nf._gradient(u.values, j, i)
+        if np.isfinite(g1):
+            return float(g1), float(g2)
+    raise ValueError(f"node {node} is not interior")
 
 
 def area_element(model: MetricModel, u: ScalarGrid, node,

@@ -14,6 +14,9 @@ shells [R, R^2], which double log r, in one such call (in v = log r) and
 calls the tail bounded, unbounded or inconclusive; both the profile and the
 boundedness classification use it.  An unbounded tail reports ``inf``;
 otherwise the tail is one ``quad`` call, whose failure reports ``inf``.
+``scipy.integrate`` is imported by the two functions that call it, on the
+first call: it takes about a quarter second and 20 MiB, which a solve
+would otherwise pay for nothing.
 The module also evaluates the rotational CMC profile in the
 hyperbolic-base unit-Killing-field space.
 """
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from . import expressions as ex
 
@@ -78,6 +80,8 @@ class RadialProfile:
 
 
 def _quad(f, a, b):
+    from scipy import integrate     # module docstring: not on the import path
+
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=400)
@@ -90,6 +94,8 @@ def _interval_integrals(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     singularity at a left end becomes a smooth integrand."""
     if len(a) == 0:
         return np.zeros(0)
+    from scipy import integrate     # module docstring: not on the import path
+
     w = b - a
     val, _ = integrate.quad_vec(lambda t: 2.0 * t * w * f(a + w * t * t), 0.0, 1.0,
                                 epsabs=1e-12, epsrel=1e-12, limit=400, norm="max")

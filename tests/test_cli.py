@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import killing_graphs
 from killing_graphs import experiments, solver
 from killing_graphs.cli import _build_domain, _load_config, main
 from killing_graphs.models import builtin_model
@@ -603,3 +609,52 @@ def test_unknown_solver_key_exit_1(tmp_path, capsys, command, key):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and repr(key) in err
     assert not out.exists() or not any(out.iterdir())
+
+
+_LEAN_RUN = textwrap.dedent("""
+    import json, sys
+    import killing_graphs
+    from killing_graphs import cli
+    solve_cfg, growth_cfg, out = sys.argv[1:]
+    codes = [cli.main(["solve", "--config", solve_cfg, "--out", out + "/solve"]),
+             cli.main(["growth", "--config", growth_cfg, "--out", out + "/growth"])]
+    loaded = sorted(m for m in sys.modules if m.split(".")[:2] in (
+        ["scipy", "integrate"], ["scipy", "special"], ["scipy", "optimize"]))
+    sparse = [m in sys.modules for m in ("scipy.sparse", "scipy.sparse.linalg")]
+    # a later quadrature imports what it needs
+    prof = killing_graphs.radial_profile(2.0, "1", 1.0, 20.0, 20)
+    print(json.dumps({"codes": codes, "loaded": loaded, "sparse": sparse,
+                      "radial_u20": prof.values[-1],
+                      "integrate_after": "scipy.integrate" in sys.modules}))
+""")
+
+
+def test_solve_and_growth_leave_scipy_integrate_unimported(tmp_path):
+    # a fresh interpreter: this one imported scipy.integrate with pytest
+    solve_cfg = write_cfg(tmp_path, {
+        "model": {"preset": "nil3", "params": [0.5]},
+        "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 1 / 16},
+        "boundary": "sin(3*x)+x*y", "H": "0",
+    }, "solve.json")
+    # off centre, the sol3-disk circles are traced by the geodesic flow
+    growth_cfg = write_cfg(tmp_path, {
+        "model": {"preset": "sol3-disk"},
+        "growth": {"p": [0.3, 0.0], "r0": 0.1, "r_max": 2.0, "n_radii": 12, "n_arc": 64},
+    }, "growth.json")
+    src = str(Path(killing_graphs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    run = subprocess.run([sys.executable, "-c", _LEAN_RUN, solve_cfg, growth_cfg,
+                          str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    rep = json.loads(run.stdout.splitlines()[-1])
+    assert rep["codes"] == [0, 0]
+    assert json.loads((tmp_path / "out" / "growth" / "growth.json").read_text())["flow_steps"]
+    assert rep["loaded"] == []
+    assert rep["sparse"] == [True, True]
+    # the catenoid: u(r) = (arccosh(sqrt(2) r) - arccosh(sqrt(2))) / sqrt(2)
+    s2 = np.sqrt(2.0)
+    assert rep["radial_u20"] == pytest.approx((np.arccosh(20 * s2) - np.arccosh(s2)) / s2,
+                                              rel=1e-9)
+    assert rep["integrate_after"]

@@ -3,8 +3,8 @@ import pytest
 
 from killing_graphs.grids import GridDomain
 from killing_graphs.models import builtin_model
-from killing_graphs.growth import (L_plain, L_weighted, collin_krust_rate,
-                                   e1tau_g, e1tau_growth, g_of_r,
+from killing_graphs.growth import (L_plain, L_weighted, _cumulative_trapezoid,
+                                   collin_krust_rate, e1tau_g, e1tau_growth, g_of_r,
                                    geodesic_circle, iterated_log,
                                    sol3_wedge_bound, sol3_wedge_divergence,
                                    window_verdict)
@@ -209,6 +209,45 @@ def test_half_plane_mask_profile():
     # L = pi r for semicircles: g = ln(r)/pi
     assert prof.g[-1] == pytest.approx(np.log(40.0) / np.pi, rel=1e-3)
     assert prof.verdict == "diverges"
+
+
+def _scipy_trapezoid(y, x):
+    from scipy.integrate import cumulative_trapezoid
+    return cumulative_trapezoid(y, x, initial=0)
+
+
+def _assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+def test_cumulative_trapezoid_bitwise_equal_to_scipy(n):
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(1e-3, 2.0, n)) - 5.0     # non-uniform steps
+    y = rng.normal(size=n) * np.exp(rng.uniform(-20, 20, n))
+    _assert_bitwise(_cumulative_trapezoid(y, x), _scipy_trapezoid(y, x))
+    # lists, as the growth functions build them, give the same bits
+    _assert_bitwise(_cumulative_trapezoid(list(y), list(x)), _scipy_trapezoid(y, x))
+
+
+def test_cumulative_trapezoid_of_one_point_is_zero():
+    _assert_bitwise(_cumulative_trapezoid([3.0], [1.5]), np.zeros(1))
+    _assert_bitwise(_scipy_trapezoid([3.0], [1.5]), np.zeros(1))
+
+
+def test_growth_call_sites_keep_the_scipy_bits():
+    # g_of_r on a traced sweep, the sol3 wedge bound and the E(-1, tau) growth
+    prof = g_of_r(builtin_model("sol3-disk"), (0.3, 0.0), 0.1, 2.0, n_radii=12,
+                  variant="weighted", n_arc=64)
+    _assert_bitwise(prof.g, _scipy_trapezoid(1.0 / prof.L, prof.radii))
+    _, rhos, g = sol3_wedge_divergence(np.pi / 4, np.pi / 3, 1.0, 30.0, 400)
+    gp = [sol3_wedge_bound(np.pi / 4, np.pi / 3, r).g_lower_integrand for r in rhos]
+    _assert_bitwise(g, _scipy_trapezoid(np.array(gp), rhos))
+    rs, g = e1tau_g(0.5, 0.5, "bounded-width", 1.0, 30.0, 400)
+    gp = [e1tau_growth(0.5, 0.5, "bounded-width", float(r)).g_prime for r in rs]
+    _assert_bitwise(g, _scipy_trapezoid(np.array(gp), rs))
 
 
 # -- iterated-log family ---------------------------------------------------------------

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -69,6 +71,68 @@ def test_polar_gradient_second_order_in_the_rotated_frame():
                         np.max(np.abs(G2 - (-gx * np.sin(t) + gy * np.cos(t)))[inter])))
     assert errs[0] <= 0.25
     assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("dom", [
+    GridDomain.rectangle(-1, 1, -1, 1, 1 / 16),
+    GridDomain.annulus(1.0, 2.0, 12, 40, center=(0.3, -0.2)),
+], ids=["cartesian", "polar"])
+def test_pointwise_geometry_bitwise_equal_to_the_lattice_arrays(dom):
+    # every interior node, the theta-wrapped rows 0 and n1 - 1 of the annulus
+    # included; nil3's connection makes both frame components count
+    m = builtin_model("nil3", (0.5,))
+    u = ScalarGrid.from_function(dom, lambda x, y: np.sin(3 * x) + x * y ** 2)
+    v = ScalarGrid.from_function(dom, lambda x, y: np.cos(x) * y)
+    nf = NodeFields(m, dom)
+    (G1, G2), (H1, H2) = nf.gradient_arrays(u.values), nf.gradient_arrays(v.values)
+    W = np.sqrt(1.0 + nf.MU ** 2 * (G1 ** 2 + G2 ** 2))
+    Wv = np.sqrt(1.0 + nf.MU ** 2 * (H1 ** 2 + H2 ** 2))
+    nodes = [tuple(int(k) for k in n) for n in np.argwhere(dom.interior_mask())]
+    if dom.periodic:
+        assert {j for j, _ in nodes} >= {0, dom.shape[0] - 1}
+    for node in nodes:
+        g1, g2 = generalized_gradient(m, u, node, fields=nf)
+        assert (_bits(g1), _bits(g2)) == (_bits(G1[node]), _bits(G2[node]))
+        assert _bits(area_element(m, u, node, fields=nf)) == _bits(W[node])
+        assert _bits(angle_function(m, u, node, fields=nf)) == _bits(nf.MU[node] / W[node])
+        gap = ((G1[node] / W[node] - H1[node] / Wv[node]) * (G1[node] - H1[node])
+               + (G2[node] / W[node] - H2[node] / Wv[node]) * (G2[node] - H2[node]))
+        assert _bits(factorization_gap(m, u, v, node, fields=nf)) == _bits(gap)
+
+
+def test_pointwise_geometry_rejects_a_node_that_is_not_interior():
+    m = builtin_model("euclidean")
+    dom = GridDomain.rectangle(-1, 1, -1, 1, 0.25)
+    u = ScalarGrid.zeros(dom)
+    for node in [(0, 3), (3, 0), (dom.shape[0] - 1, 3), (3, dom.shape[1] - 1)]:
+        with pytest.raises(ValueError, match="not interior"):
+            generalized_gradient(m, u, node)
+
+
+def test_pointwise_geometry_reads_one_node_of_a_fine_lattice():
+    # h = 1/256: 263k nodes, where the lattice arrays take ~30 ms
+    m = builtin_model("nil3", (0.5,))
+    dom = GridDomain.rectangle(-1, 1, -1, 1, 1 / 256)
+    u = ScalarGrid.from_function(dom, lambda x, y: np.sin(3 * x) + x * y)
+    v = ScalarGrid.from_function(dom, lambda x, y: x * y)
+    nf = NodeFields(m, dom)
+    node = mid_node(dom)
+    calls = [lambda: area_element(m, u, node, fields=nf),
+             lambda: factorization_gap(m, u, v, node, fields=nf),
+             lambda: factorization_identity_rhs(m, u, v, node, fields=nf)]
+    for call in calls:
+        # nothing is cached on the NodeFields, so a repeat costs what the
+        # first call did; the best of three discounts a busy host
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+        assert min(times) < 5e-3
 
 
 def test_area_element_and_angle():

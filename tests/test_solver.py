@@ -816,6 +816,26 @@ def test_no_jacobian_entry_couples_the_halves_of_a_split_box(monkeypatch, name):
         assert ina @ (pattern @ inb) == 0 and inb @ (pattern @ ina) == 0
 
 
+@pytest.mark.parametrize("name", ["rectangle", "punctured-disk", "annulus"])
+def test_factored_matrix_is_one_gather_of_the_permuted_jacobian(name):
+    # cartesian, masked and bridged, and periodic lattices
+    cache = _order_cache(name)
+    linear = solver._LinearSolves(cache)
+    assert linear._gather.dtype == np.int32
+    p = linear.order
+    pattern = [a.copy() for a in linear._pattern]
+    for J in (_first_jacobian(cache), cache.jacobian(solver._full_grid(
+            cache.dom, np.linspace(-1.0, 1.0, cache.n_unknowns), cache))):
+        ref, A = J[p][:, p].tocsc(), linear.permuted(J)
+        for key in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(A, key), getattr(ref, key), err_msg=key)
+        # SuperLU reads the shared pattern and leaves it as it was
+        linear.lu = None
+        linear.solve(J, np.ones(cache.n_unknowns))
+        for a, b in zip(linear._pattern, pattern):
+            np.testing.assert_array_equal(a, b)
+
+
 def _fill(lu):
     """Nonzeros of the factors L and U."""
     return lu.L.nnz + lu.U.nnz
