@@ -99,9 +99,11 @@ class GridDomain:
         T, R = np.meshgrid(a0, a1, indexing="ij")
         return (self.center[0] + R * np.cos(T), self.center[1] + R * np.sin(T))
 
-    def carried(self):
-        """INTERIOR, BOUNDARY and BRIDGE nodes: every status but EXCLUDED."""
-        return self.status != EXCLUDED
+    def carried(self, flat=None):
+        """INTERIOR, BOUNDARY and BRIDGE nodes: every status but EXCLUDED.
+        Given flat node indices ``flat``, only those nodes are read, so a
+        call about a few nodes builds no whole-lattice mask."""
+        return (self.status if flat is None else self.status.ravel()[flat]) != EXCLUDED
 
     def interior_mask(self):
         return self.status == INTERIOR
@@ -256,7 +258,7 @@ class GridDomain:
             jj, ii = J, I + step
         inside = (0 <= jj) & (jj < n1) & (0 <= ii) & (ii < n0)
         nb = np.where(inside, jj * n0 + ii, J * n0 + I)
-        return nb, inside & (self.status.ravel()[nb] != EXCLUDED)
+        return nb, inside & self.carried(nb)
 
     def _check(self):
         st = self.status

@@ -367,7 +367,9 @@ def generalized_gradient(model: MetricModel, u: ScalarGrid, node,
     differences of :meth:`NodeFields.gradient_arrays` at this node alone,
     with the same bits."""
     nf = fields or NodeFields(model, u.domain)
-    j, i = node
+    # numpy's index rules, as the lattice arrays read the node: a negative
+    # index wraps and one out of range raises IndexError
+    j, i = (range(n)[k] for n, k in zip(u.domain.shape, node))
     if u.domain.status[j, i] == INTERIOR:
         g1, g2 = nf._gradient(u.values, j, i)
         if np.isfinite(g1):

@@ -185,9 +185,9 @@ class _LinearSolves:
         # fixed pattern with slot numbers as data: each factorization is then
         # one gather of J.data
         n = cache.n_unknowns
-        slots = sp.csr_matrix((np.arange(cache._jac_indices.size), cache._jac_indices,
-                               cache._jac_indptr), shape=(n, n))[p][:, p].tocsc()
-        self._gather = slots.data.astype(np.int32)
+        slots = sp.csr_matrix((np.arange(cache._jac_indices.size, dtype=np.int32),
+                               cache._jac_indices, cache._jac_indptr), shape=(n, n))[p][:, p].tocsc()
+        self._gather = slots.data
         self._pattern = slots.indices, slots.indptr
         self.lu = None
         self.factorizations = 0
