@@ -36,118 +36,153 @@ from .models import MetricModel, Rect, builtin_model
 from .operator import NodeFields
 from .solver import SolveConfig, SolveReport, solve_dirichlet
 
-EXPERIMENT_NAMES = ("nil-strip", "removable-singularity", "collin-krust-fit",
-                    "sol3-wedge", "e1tau-growth", "iterated-log")
-
 
 class ConfigError(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Reading a config: one rule for every section
+
+def _read(section: dict, where: str, spec: dict) -> dict:
+    """The values of a config section.  ``spec`` maps each declared key to ``(convert,
+    default)``, or to ``convert`` if it is required; ``convert`` takes each value but a null
+    default.  An undeclared or missing key, or a refused value, is a ConfigError naming it."""
+    for key in section:
+        if key not in spec:
+            raise ConfigError(f"unknown key {key!r} in {where}; "
+                              f"it takes {', '.join(map(repr, spec))}")
+    values = {}
+    for key, entry in spec.items():
+        convert, default = entry if isinstance(entry, tuple) else (entry, ...)
+        if key not in section and default is ...:
+            raise ConfigError(f"missing {key!r} in {where}")
+        value = section.get(key, default)
+        try:
+            values[key] = None if value is None and default is None else convert(value)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad {key!r} in {where}: {e}") from None
+    return values
+
+
+def _nonnegative(kind):
+    """A converter for finite values >= 0 that ``kind`` keeps as they are (not 2.7 as int)."""
+    def convert(v):
+        if isinstance(v, (int, float)) and 0 <= v < np.inf and kind(v) == v:
+            return kind(v)
+        raise ValueError(f"expected a finite {kind.__name__} >= 0, got {v!r}")
+    return convert
+
+
+def _array(v) -> tuple:
+    if isinstance(v, (list, tuple)):    # a string is not split into characters
+        return tuple(v)
+    raise TypeError(f"expected a list, got {v!r}")
+
+
+_count, _tolerance = _nonnegative(int), _nonnegative(float)
+_floats = lambda v: tuple(map(float, _array(v)))
+_chart = lambda v: Rect(*_array(v))
+
+
+def _region(v):
+    """A mask expression as the predicate "positive at (x, y)"."""
+    f = as_field(v)
+    return lambda x, y: f.value(x, y) > 0.0
+
+
+def _boundary_spec(bc):
+    """A boundary as grids data: a constant, a callable of chart (x, y) or a dict of them."""
+    if isinstance(bc, dict):
+        return {k: _boundary_spec(v) for k, v in bc.items()}
+    if isinstance(bc, str):
+        return expr_field(bc).value
+    return 0.0 if bc is None else float(bc)
+
+
+# the top-level keys: every section that some command reads, and the solve's data
+_CONFIG = {**dict.fromkeys(("model", "domain", "solver", "output", "radial", "growth",
+                            "experiment"), (dict, {})),
+           "boundary": (_boundary_spec, 0.0), "H": (as_field, None), "puncture": (_array, None)}
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"malformed JSON in {path}: {e}")
+    except (OSError, json.JSONDecodeError) as e:   # a missing file, or malformed JSON
+        raise ConfigError(f"cannot read {path}: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    return cfg
-
-
-def _need(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing {key!r} in {where}")
-    return cfg[key]
+    return _read(cfg, "config", _CONFIG)
 
 
 def _build_model(cfg: dict) -> MetricModel:
-    mc = _need(cfg, "model", "config")
+    mc = cfg["model"]
+    if "preset" in mc:
+        m = _read(mc, "model", {"preset": str, "params": (_array, ()), "chart": (_chart, None)})
+        try:
+            return builtin_model(m["preset"], m["params"], chart=m["chart"])
+        except (ValueError, IndexError) as e:   # an unknown preset, or too few params
+            raise ConfigError(f"bad model spec: {e}")
+    m = _read(mc, "model", {"chart": _chart, "lambda": as_field, "mu": as_field,
+                            "a": (as_field, 0.0), "b": (as_field, 0.0)})
+    return MetricModel(chart=m["chart"], lam=m["lambda"], mu=m["mu"], a=m["a"], b=m["b"])
+
+
+_SHAPES = {     # the keys of each domain shape besides 'shape'
+    "rectangle": {"rect": _array, "h": float},
+    "strip": {"half_width": float, "length": float, "h": float},
+    "annulus": {"r0": float, "r1": float, "nr": _count, "ntheta": _count,
+                "center": (_array, (0.0, 0.0))},
+    "disk": {"radius": float, "h": float},
+    "masked": {"rect": _array, "h": float, "mask": _region},
+}
+
+
+def _build_domain(cfg: dict, h=None) -> GridDomain:
+    """The lattice of the domain, its data and puncture; ``h`` replaces the domain's step."""
+    dc = cfg["domain"]
+    if dc.get("shape") not in _SHAPES:
+        raise ConfigError(f"bad 'shape' in domain: {dc.get('shape')!r} is none of {list(_SHAPES)}")
+    d, b = _read(dc, "domain", {"shape": str, **_SHAPES[dc["shape"]]}), cfg["boundary"]
+    if h is not None:
+        if "h" not in d:
+            raise ConfigError(f"domain shape {d['shape']!r} has no 'h' to refine")
+        d["h"] = h
     try:
-        if "preset" in mc:
-            chart = Rect(*mc["chart"]) if "chart" in mc else None
-            return builtin_model(mc["preset"], tuple(mc.get("params", ())), chart=chart)
-        chart = Rect(*_need(mc, "chart", "model"))
-        return MetricModel(chart=chart,
-                           lam=as_field(_need(mc, "lambda", "model")),
-                           mu=as_field(_need(mc, "mu", "model")),
-                           a=as_field(mc.get("a", 0.0)),
-                           b=as_field(mc.get("b", 0.0)))
-    except (ValueError, KeyError) as e:
-        raise ConfigError(f"bad model spec: {e}")
-
-
-def _boundary_spec(bc):
-    """A config boundary as grids data: numbers stay constants, expressions
-    become callables of chart (x, y), a per-arc dict maps each entry."""
-    if bc is None:
-        return 0.0
-    if isinstance(bc, (int, float)):
-        return float(bc)
-    if isinstance(bc, str):
-        return expr_field(bc).value
-    if isinstance(bc, dict):
-        return {k: _boundary_spec(v) for k, v in bc.items()}
-    raise ConfigError("boundary must be a number, expression or per-arc dict")
-
-
-def _build_domain(cfg: dict) -> GridDomain:
-    dc = _need(cfg, "domain", "config")
-    shape = _need(dc, "shape", "domain")
-    try:
-        bspec = _boundary_spec(cfg.get("boundary"))
-        if shape in ("rectangle", "strip"):
-            if shape == "rectangle":
-                x0, x1, y0, y1 = dc["rect"]
-            else:
-                w = float(dc["half_width"])
-                L = float(dc["length"])
-                x0, x1, y0, y1 = -L, L, -w, w
-            dom = GridDomain.rectangle(x0, x1, y0, y1, float(dc["h"]), boundary=bspec)
-        elif shape == "annulus":
-            arcs = bspec if isinstance(bspec, dict) else {"inner": bspec, "outer": bspec}
-            dom = GridDomain.annulus(float(dc["r0"]), float(dc["r1"]), int(dc["nr"]),
-                                     int(dc["ntheta"]),
-                                     center=tuple(dc.get("center", (0.0, 0.0))), **arcs)
-        elif shape in ("disk", "masked"):
-            if shape == "disk":
-                R = float(dc["radius"])
-                x0, x1, y0, y1 = -R, R, -R, R
-                keep = lambda x, y: x ** 2 + y ** 2 <= R ** 2 + 1e-12
-            else:
-                x0, x1, y0, y1 = dc["rect"]
-                mask_f = expr_field(_need(dc, "mask", "domain"))
-                keep = lambda x, y: mask_f.value(x, y) > 0.0
-            dom = GridDomain.masked(x0, x1, y0, y1, float(dc["h"]), keep=keep,
-                                    boundary=bspec)
+        if d["shape"] == "annulus":
+            arcs = b if isinstance(b, dict) else {"inner": b, "outer": b}
+            dom = GridDomain.annulus(d["r0"], d["r1"], d["nr"], d["ntheta"],
+                                     center=d["center"], **arcs)
+        elif d["shape"] == "strip":
+            w, L = d["half_width"], d["length"]
+            dom = GridDomain.rectangle(-L, L, -w, w, d["h"], boundary=b)
+        elif d["shape"] == "rectangle":
+            dom = GridDomain.rectangle(*d["rect"], d["h"], boundary=b)
+        elif d["shape"] == "disk":
+            R = d["radius"]
+            dom = GridDomain.masked(-R, R, -R, R, d["h"], boundary=b,
+                                    keep=lambda x, y: x ** 2 + y ** 2 <= R ** 2 + 1e-12)
         else:
-            raise ConfigError(f"unknown domain shape {shape!r}")
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad domain spec: {e}")
-    if "puncture" in cfg and cfg["puncture"] is not None:
-        dom = dom.with_puncture(dom.nearest_node(tuple(cfg["puncture"])))
+            dom = GridDomain.masked(*d["rect"], d["h"], keep=d["mask"], boundary=b)
+    except (TypeError, ValueError) as e:   # a bad rect, or an undefined boundary expression
+        raise ConfigError(f"bad domain spec: {e}") from None
+    if cfg["puncture"] is not None:
+        dom = dom.with_puncture(dom.nearest_node(cfg["puncture"]))
     return dom
 
 
-_SOLVER_KEYS = {"max_iters": int, "tol_factor": float}
-
-
-def _solver_config(cfg: dict) -> SolveConfig:
-    sc = cfg.get("solver", {})
-    unknown = sorted(set(sc) - set(_SOLVER_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown solver key(s) {unknown}; "
-                          f"the solver section takes max_iters and tol_factor")
-    return SolveConfig(**{k: _SOLVER_KEYS[k](v) for k, v in sc.items()})
+def _solver_config(section: dict) -> SolveConfig:
+    return SolveConfig(**_read(section, "solver", {
+        "max_iters": (_count, SolveConfig.max_iters),
+        "tol_factor": (_tolerance, SolveConfig.tol_factor)}))
 
 
 def _out_dir(cfg: dict, args) -> Path:
-    d = args.out or cfg.get("output", {}).get("dir", ".")
-    p = Path(d)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    """The output directory; the writers make it, so a config error leaves none."""
+    d = _read(cfg["output"], "output", {"dir": (str, ".")})["dir"]
+    return Path(args.out or d)
 
 
 _CSV_BLOCK_ROWS = 4096     # rows per format: at 6 columns the block's floats take < 1 MiB
@@ -159,6 +194,7 @@ def _write_csv(path: Path, header, rows, footer=None):
     ``_CSV_BLOCK_ROWS`` rows made by one format."""
     line = ",".join(["%.17g"] * len(header)) + "\r\n"
     table = np.asarray(rows, dtype=np.float64)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -171,6 +207,7 @@ def _write_csv(path: Path, header, rows, footer=None):
 
 
 def _write_json(path: Path, obj):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, default=float)
         fh.write("\n")
@@ -180,22 +217,12 @@ def _solve_record(rep: SolveReport, prefix: str = "") -> dict:
     """The JSON record of one solve, every key led by ``prefix``:
     ``report.json`` is this record, and each experiment run holds one per
     solve beside its own keys."""
-    record = {
-        "converged": rep.converged,
-        "stop_reason": rep.stop_reason,
-        "start": rep.start,
-        "iterations": rep.iterations,
-        "coarse_iterations": rep.coarse_iterations,
-        "residual_norm": rep.residual_norm,
-        "tolerance": rep.tolerance,
-        "factorizations": rep.factorizations,
-        "krylov_iterations": rep.krylov_iterations,
-        "lu_fill": rep.lu_fill,
-        "damping_history": rep.damping_history,
-        "message": rep.message,
-        "runtime_seconds": rep.runtime,
-        "unknowns": int(np.sum(rep.u.domain.unknown_mask())),
-    }
+    record = {k: getattr(rep, k) for k in (
+        "converged", "stop_reason", "start", "iterations", "coarse_iterations", "residual_norm",
+        "tolerance", "factorizations", "krylov_iterations", "lu_fill", "damping_history",
+        "message")}
+    record["runtime_seconds"] = rep.runtime
+    record["unknowns"] = int(np.sum(rep.u.domain.unknown_mask()))
     return {prefix + k: v for k, v in record.items()}
 
 
@@ -203,13 +230,10 @@ def _solve_record(rep: SolveReport, prefix: str = "") -> dict:
 # Subcommands
 
 def cmd_solve(cfg: dict, args) -> int:
-    model = _build_model(cfg)
-    dom = _build_domain(cfg)
-    H = cfg.get("H")
-    scfg = _solver_config(cfg)
+    model, dom = _build_model(cfg), _build_domain(cfg)
+    scfg = _solver_config(cfg["solver"])
     out = _out_dir(cfg, args)
-
-    rep = solve_dirichlet(model, dom, H=H, config=scfg)
+    rep = solve_dirichlet(model, dom, H=cfg["H"], config=scfg)
     nf = NodeFields(model, dom)
     G1, G2 = nf.gradient_arrays(rep.u.values)
     W = np.sqrt(1.0 + nf.MU ** 2 * (G1 ** 2 + G2 ** 2))
@@ -229,11 +253,11 @@ def cmd_solve(cfg: dict, args) -> int:
 
 
 def cmd_radial(cfg: dict, args) -> int:
-    rc = _need(cfg, "radial", "config")
+    rc = _read(cfg["radial"], "radial", {
+        "c": (float, 1.0), "mu": (radial.as_radial, "1"), "r0": (float, 1.0),
+        "r1": float, "n_samples": (_count, 50)})
     out = _out_dir(cfg, args)
-    prof = radial.radial_profile(float(rc.get("c", 1.0)), rc.get("mu", "1"),
-                                 float(rc.get("r0", 1.0)), float(_need(rc, "r1", "radial")),
-                                 int(rc.get("n_samples", 50)))
+    prof = radial.radial_profile(**rc)
     _write_csv(out / "radial.csv", ["r", "u"], list(zip(prof.radii, prof.values)))
     _write_json(out / "radial.json", {
         "c": prof.c, "r0": prof.r0,
@@ -246,19 +270,12 @@ def cmd_radial(cfg: dict, args) -> int:
 
 
 def cmd_growth(cfg: dict, args) -> int:
-    gc = _need(cfg, "growth", "config")
+    gc = _read(cfg["growth"], "growth", {
+        "p": (_array, (0.0, 0.0)), "r0": float, "r_max": float, "n_radii": (_count, 200),
+        "variant": (str, "plain"), "mask": (_region, None), "n_arc": (_count, 512)})
     model = _build_model(cfg)
     out = _out_dir(cfg, args)
-    mask = None
-    if "mask" in gc and gc["mask"] is not None:
-        mf = expr_field(gc["mask"])
-        mask = lambda x, y: mf.value(x, y) > 0.0
-    p = tuple(gc.get("p", (0.0, 0.0)))
-    n_arc = int(gc.get("n_arc", 512))
-    prof = growth.g_of_r(model, p, float(_need(gc, "r0", "growth")),
-                         float(_need(gc, "r_max", "growth")),
-                         n_radii=int(gc.get("n_radii", 200)),
-                         variant=gc.get("variant", "plain"), mask=mask, n_arc=n_arc)
+    prof = growth.g_of_r(model, **gc)
     # the profile holds its own variant's L; compute only the other one
     plain = prof.variant == "plain"
     other = [(growth.L_weighted if plain else growth.L_plain)(model, a) for a in prof.arcs]
@@ -272,7 +289,7 @@ def cmd_growth(cfg: dict, args) -> int:
         # the first radius whose arc kept enough samples, and what the mask
         # dropped from the arc at each radius used
         "r0": float(prof.radii[0]),
-        "dropped_arc_samples": [n_arc - len(a.points) for a in prof.arcs],
+        "dropped_arc_samples": [gc["n_arc"] - len(a.points) for a in prof.arcs],
         # the geodesic flow's accepted steps out to r_max and the sum of
         # their local error estimates; null when every circle has a closed form
         "flow_steps": prof.arcs[-1].flow_steps,
@@ -294,13 +311,12 @@ def _experiment_exit(name: str, converged) -> int:
 
 
 def _exp_nil_strip(cfg, out):
-    ec = cfg.get("experiment", {})
-    rep = nil.strip_uniqueness_experiment(float(ec.get("tau", 0.5)),
-                                          float(ec.get("half_width", 1.0)),
-                                          ec.get("n_list", [2, 4, 8]),
-                                          float(ec.get("K", 5.0)),
-                                          h=float(ec.get("h", 1 / 16)),
-                                          config=_solver_config(cfg))
+    scfg = _solver_config(cfg["solver"])
+    ec = _read(cfg["experiment"], "experiment", {
+        "tau": (float, 0.5), "half_width": (float, 1.0), "n_list": (_array, (2, 4, 8)),
+        "K": (float, 5.0), "h": (float, 1 / 16)})
+    rep = nil.strip_uniqueness_experiment(ec["tau"], ec["half_width"], ec["n_list"], ec["K"],
+                                          h=ec["h"], config=scfg)
     rows = [(r.n, r.K, r.core_sup) for r in rep.runs]
     _write_csv(out / "nil_strip.csv", ["n", "K", "core_sup"], rows)
     sups = [r.core_sup for r in rep.runs]
@@ -317,25 +333,19 @@ def _exp_nil_strip(cfg, out):
 
 
 def _exp_removable(cfg, out):
-    ec = cfg.get("experiment", {})
-    case = ec.get("case", "disk")
-    hs = tuple(ec.get("hs", experiments._HS))
     # the config's solver section goes over the experiment's tight tolerance
-    scfg = _solver_config({"solver": {"tol_factor": experiments._TOL_FACTOR,
-                                      **cfg.get("solver", {})}})
+    scfg = _solver_config({"tol_factor": experiments._TOL_FACTOR, **cfg["solver"]})
+    ec = _read(cfg["experiment"], "experiment", {
+        "case": (str, "disk"), "hs": (_array, experiments._HS), "puncture": (_array, None)})
+    case, hs, point = ec["case"], ec["hs"], ec["puncture"]
     if case in experiments._PUNCTURE_CASES:
-        rep = experiments._run_puncture_case(case, hs, ec.get("puncture"), config=scfg)
+        rep = experiments._run_puncture_case(case, hs, point, config=scfg)
     elif case == "custom":
-        model = _build_model(cfg)
-        shape = _need(cfg, "domain", "config").get("shape")
-        if shape == "annulus":
-            raise ConfigError(f"removable-singularity case 'custom' needs a domain with "
-                              f"'h'; shape {shape!r} has none")
-        factory = lambda h: _build_domain({**cfg, "puncture": None,
-                                           "domain": {**cfg["domain"], "h": h}})
-        point = _need(ec, "puncture", "experiment")
-        rep = experiments.removable_singularity_experiment(model, factory, tuple(point),
-                                                           H=cfg.get("H"), hs=hs, config=scfg)
+        if point is None:
+            raise ConfigError("missing 'puncture' in experiment")
+        factory = lambda h: _build_domain({**cfg, "puncture": None}, h)   # unpunctured, at h
+        rep = experiments.removable_singularity_experiment(_build_model(cfg), factory, point,
+                                                           H=cfg["H"], hs=hs, config=scfg)
     else:
         raise ConfigError(f"unknown removable-singularity case {case!r}")
     rows = [(r.h, r.max_difference) for r in rep.runs]
@@ -354,10 +364,10 @@ def _exp_removable(cfg, out):
 
 
 def _exp_ck_fit(cfg, out):
-    ec = cfg.get("experiment", {})
-    c_u, c_v = (float(c) for c in ec.get("c_pair", (1.0, 4.0)))
-    r0 = float(ec.get("r0", 1.0))
-    n_radii = int(ec.get("n_radii", 200))
+    ec = _read(cfg["experiment"], "experiment", {
+        "c_pair": (_floats, (1.0, 4.0)), "r0": (float, 1.0),
+        "n_radii": (_count, 200), "r_max_list": (_floats, (10.0, 50.0, 100.0))})
+    c_u, c_v = ec["c_pair"]
     model = builtin_model("euclidean")
 
     def u_of(c):
@@ -365,10 +375,9 @@ def _exp_ck_fit(cfg, out):
         return lambda x, y: (np.arccosh(np.maximum(s * np.hypot(x, y), 1.0))
                              - np.arccosh(s)) / s
 
-    slopes = []
-    rows = []
-    for r_max in ec.get("r_max_list", (10.0, 50.0, 100.0)):
-        prof = growth.g_of_r(model, (0.0, 0.0), r0, float(r_max), n_radii=n_radii)
+    slopes, rows = [], []
+    for r_max in ec["r_max_list"]:
+        prof = growth.g_of_r(model, (0.0, 0.0), ec["r0"], r_max, n_radii=ec["n_radii"])
         fit = growth.collin_krust_rate(u_of(c_u), u_of(c_v), prof)
         slopes.append(fit.slope)
         for r, M, g in zip(fit.radii, fit.M, fit.g):
@@ -385,13 +394,11 @@ def _exp_ck_fit(cfg, out):
 
 
 def _exp_sol3_wedge(cfg, out):
-    ec = cfg.get("experiment", {})
-    th1 = float(ec.get("theta1", np.pi / 4))
-    th2 = float(ec.get("theta2", np.pi / 4))
-    rho0 = float(ec.get("rho0", 1.0))
-    rho_max = float(ec.get("rho_max", 30.0))
-    n = int(ec.get("n", 4000))
-    verdict, rhos, g = growth.sol3_wedge_divergence(th1, th2, rho0, rho_max, n)
+    ec = _read(cfg["experiment"], "experiment", {
+        "theta1": (float, np.pi / 4), "theta2": (float, np.pi / 4), "rho0": (float, 1.0),
+        "rho_max": (float, 30.0), "n": (_count, 4000)})
+    verdict, rhos, g = growth.sol3_wedge_divergence(**ec)
+    th1, th2, n = ec["theta1"], ec["theta2"], ec["n"]
     rows = []
     for rho, gv in zip(rhos[:: max(1, n // 400)], g[:: max(1, n // 400)]):
         wb = growth.sol3_wedge_bound(th1, th2, float(rho))
@@ -408,14 +415,11 @@ def _exp_sol3_wedge(cfg, out):
 
 
 def _exp_e1tau(cfg, out):
-    ec = cfg.get("experiment", {})
-    H = float(ec.get("H", 0.5))
-    tau = float(ec.get("tau", 0.0))
-    kind = ec.get("domain_kind", "bounded-width")
-    r0 = float(ec.get("r0", 1.0))
-    r_max = float(ec.get("r_max", 30.0))
-    n = int(ec.get("n", 4000))
-    rs, g = growth.e1tau_g(H, tau, kind, r0, r_max, n)
+    ec = _read(cfg["experiment"], "experiment", {
+        "H": (float, 0.5), "tau": (float, 0.0), "domain_kind": (str, "bounded-width"),
+        "r0": (float, 1.0), "r_max": (float, 30.0), "n": (_count, 4000)})
+    rs, g = growth.e1tau_g(**ec)
+    H, tau, kind, r_max, n = ec["H"], ec["tau"], ec["domain_kind"], ec["r_max"], ec["n"]
     sample = growth.e1tau_growth(H, tau, kind, r_max)
     rows = []
     for r, gv in zip(rs[:: max(1, n // 400)], g[:: max(1, n // 400)]):
@@ -434,20 +438,15 @@ def _exp_e1tau(cfg, out):
 
 
 def _exp_iterated_log(cfg, out):
-    ec = cfg.get("experiment", {})
-    levels = ec.get("levels", [0, 1, 2])
-    x0 = float(ec.get("x0", 16.0))
-    n_windows = int(ec.get("n_windows", 16))
-    rows = []
-    verdicts = {}
-    for nlev in levels:
-        xs = x0 * 2.0 ** np.arange(n_windows + 1)
-        vals = [growth.iterated_log(int(nlev), float(x)) for x in xs]
-        for x, (f, gt) in zip(xs, vals):
-            rows.append((int(nlev), x, f, gt))
-        gts = np.array([v[1] for v in vals])
-        verdict, _, _ = growth.window_verdict(xs, gts)
-        verdicts[str(nlev)] = verdict
+    ec = _read(cfg["experiment"], "experiment", {
+        "levels": (lambda v: tuple(map(_count, _array(v))), (0, 1, 2)), "x0": (float, 16.0),
+        "n_windows": (_count, 16)})
+    rows, verdicts = [], {}
+    xs = ec["x0"] * 2.0 ** np.arange(ec["n_windows"] + 1)
+    for nlev in ec["levels"]:
+        vals = [growth.iterated_log(nlev, float(x)) for x in xs]
+        rows += [(nlev, x, f, gt) for x, (f, gt) in zip(xs, vals)]
+        verdicts[str(nlev)] = growth.window_verdict(xs, np.array([v[1] for v in vals]))[0]
     _write_csv(out / "iterated_log.csv", ["level", "x", "f", "g_tilde"], rows)
     _write_json(out / "iterated_log.json", {"verdicts": verdicts})
     print(f"iterated-log: verdicts {verdicts}")
@@ -462,6 +461,7 @@ _EXPERIMENTS = {
     "e1tau-growth": _exp_e1tau,
     "iterated-log": _exp_iterated_log,
 }
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 # ---------------------------------------------------------------------------

@@ -658,3 +658,123 @@ def test_solve_and_growth_leave_scipy_integrate_unimported(tmp_path):
     assert rep["radial_u20"] == pytest.approx((np.arccosh(20 * s2) - np.arccosh(s2)) / s2,
                                               rel=1e-9)
     assert rep["integrate_after"]
+
+
+# ---------------------------------------------------------------------------
+# One reading rule: every section takes only the keys it declares
+
+_SOLVE = {"model": {"preset": "euclidean"},
+          "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
+          "boundary": "x*y"}
+_SHAPES = {
+    "rectangle": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
+    "strip": {"shape": "strip", "half_width": 1.0, "length": 2.0, "h": 0.25},
+    "annulus": {"shape": "annulus", "r0": 1.0, "r1": 2.0, "nr": 4, "ntheta": 8},
+    "disk": {"shape": "disk", "radius": 1.0, "h": 0.25},
+    "masked": {"shape": "masked", "rect": [-1, 1, -1, 1], "h": 0.25, "mask": "1 - x^2 - y^2"},
+}
+_EXPERIMENT_TYPOS = {"nil-strip": "nlist", "removable-singularity": "hss",
+                     "collin-krust-fit": "c_pairs", "sol3-wedge": "thetal",
+                     "e1tau-growth": "kind", "iterated-log": "level"}
+
+
+def _with(cfg, path, value):
+    """``cfg`` with ``value`` set at the key path ``path``, sections copied."""
+    cfg = json.loads(json.dumps(cfg))
+    *sections, key = path
+    node = cfg
+    for s in sections:
+        node = node.setdefault(s, {})
+    node[key] = value
+    return cfg
+
+
+def _config_error(tmp_path, capsys, command, cfg):
+    """Run ``command`` on ``cfg``; check that main returns 1 (no exception
+    escapes) with a config error and writes nothing, and return stderr."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, cfg)
+    assert main(command + ["--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert not out.exists()
+    return err
+
+
+_UNDECLARED = [
+    (["solve"], _SOLVE, ("Hh",)),
+    (["solve"], _with(_SOLVE, ("model", "params"), [0.5]), ("model", "param")),
+    (["solve"], {**_SOLVE, "model": {"chart": [-2, 2, -2, 2], "lambda": "1", "mu": "1"}},
+     ("model", "b0")),
+    (["solve"], _SOLVE, ("solver", "max_iter")),
+    (["solve"], _SOLVE, ("output", "dirr")),
+    (["radial"], {"radial": {"c": 2.0, "r1": 2.0}}, ("radial", "n_sample")),
+    (["growth"], {"model": {"preset": "euclidean"}, "growth": {"r0": 1.0, "r_max": 10.0}},
+     ("growth", "n_arcs")),
+] + [(["solve"], {**_SOLVE, "domain": d}, ("domain", "hx")) for d in _SHAPES.values()] + [
+    (["experiment", name], {}, ("experiment", key)) for name, key in _EXPERIMENT_TYPOS.items()]
+
+
+@pytest.mark.parametrize("command, cfg, path", _UNDECLARED,
+                         ids=["/".join(c[1:] + list(p)) for c, _, p in _UNDECLARED])
+def test_undeclared_key_exit_1(tmp_path, capsys, command, cfg, path):
+    # a misnamed key must not run a different problem: {"Hh": "1"} solved H = 0
+    err = _config_error(tmp_path, capsys, command, _with(cfg, path, 1))
+    assert repr(path[-1]) in err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    (["radial"], {"radial": {"c": 2.0, "r0": 1.0}}, "r1"),
+    (["growth"], {"model": {"preset": "euclidean"}, "growth": {"r_max": 10.0}}, "r0"),
+    (["solve"], {**_SOLVE, "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1]}}, "h"),
+])
+def test_missing_required_key_exit_1(tmp_path, capsys, command, cfg, key):
+    err = _config_error(tmp_path, capsys, command, cfg)
+    assert "missing" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("command, cfg, section", [
+    # the first three raised an uncaught TypeError
+    (["growth"], {"model": {"preset": "euclidean"},
+                  "growth": {"p": 0.3, "r0": 1.0, "r_max": 10.0}}, "growth"),
+    (["solve"], _with(_SOLVE, ("model",), {"preset": "nil3", "params": 0.5}), "model"),
+    (["experiment", "nil-strip"], {"experiment": {"n_list": 3}}, "experiment"),
+    # a string is not split into a list: "0.5" solved nil3(0), from the character "0"
+    (["solve"], _with(_SOLVE, ("model",), {"preset": "nil3", "params": "0.5"}), "model"),
+])
+def test_mistyped_value_exit_1(tmp_path, capsys, command, cfg, section):
+    assert section in _config_error(tmp_path, capsys, command, cfg)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_iters", 2.7), ("max_iters", -1), ("max_iters", "60"),
+    ("tol_factor", float("nan")), ("tol_factor", float("inf")), ("tol_factor", -1e-10),
+])
+def test_solver_values_are_range_checked(tmp_path, capsys, key, value):
+    # max_iters 2.7 ran 2 iterations; tol_factor NaN "converged" with a NaN tolerance
+    err = _config_error(tmp_path, capsys, ["solve"], _with(_SOLVE, ("solver", key), value))
+    assert repr(key) in err
+
+
+def test_solver_values_at_their_bounds_are_read(tmp_path):
+    cfg = write_cfg(tmp_path, _with(_with(_SOLVE, ("solver", "max_iters"), 0.0),
+                                    ("solver", "tol_factor"), 0))
+    # no Newton step and a zero tolerance: a solve that reports non-convergence
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["iterations"] == 0 and report["tolerance"] == 0.0
+
+
+def _readme_config(title):
+    """The JSON block that follows ``title`` in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split(title, 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    return json.loads(block)
+
+
+@pytest.mark.parametrize("command, title", [("solve", "A solve config:"),
+                                            ("growth", "A growth config:")])
+def test_readme_example_configs_run(tmp_path, command, title):
+    # the documented keys are the declared keys
+    cfg = write_cfg(tmp_path, _readme_config(title))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
