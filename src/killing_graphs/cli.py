@@ -82,7 +82,19 @@ def _array(v) -> tuple:
 
 _count, _tolerance = _nonnegative(int), _nonnegative(float)
 _floats = lambda v: tuple(map(float, _array(v)))
-_chart = lambda v: Rect(*_array(v))
+
+
+def _floats_of(n):
+    """A converter for a list of exactly ``n`` numbers."""
+    def convert(v):
+        if len(_array(v)) != n:
+            raise ValueError(f"expected a list of {n} numbers, got {v!r}")
+        return _floats(v)
+    return convert
+
+
+_pair, _bounds = _floats_of(2), _floats_of(4)     # a chart point; x0, x1, y0, y1
+_chart = lambda v: Rect(*_bounds(v))
 
 
 def _region(v):
@@ -103,7 +115,7 @@ def _boundary_spec(bc):
 # the top-level keys: every section that some command reads, and the solve's data
 _CONFIG = {**dict.fromkeys(("model", "domain", "solver", "output", "radial", "growth",
                             "experiment"), (dict, {})),
-           "boundary": (_boundary_spec, 0.0), "H": (as_field, None), "puncture": (_array, None)}
+           "boundary": (_boundary_spec, 0.0), "H": (as_field, None), "puncture": (_pair, None)}
 
 
 def _load_config(path: str) -> dict:
@@ -123,7 +135,7 @@ def _build_model(cfg: dict) -> MetricModel:
         m = _read(mc, "model", {"preset": str, "params": (_array, ()), "chart": (_chart, None)})
         try:
             return builtin_model(m["preset"], m["params"], chart=m["chart"])
-        except (ValueError, IndexError) as e:   # an unknown preset, or too few params
+        except (TypeError, ValueError) as e:   # an unknown preset, or a wrong count or type of params
             raise ConfigError(f"bad model spec: {e}")
     m = _read(mc, "model", {"chart": _chart, "lambda": as_field, "mu": as_field,
                             "a": (as_field, 0.0), "b": (as_field, 0.0)})
@@ -131,12 +143,12 @@ def _build_model(cfg: dict) -> MetricModel:
 
 
 _SHAPES = {     # the keys of each domain shape besides 'shape'
-    "rectangle": {"rect": _array, "h": float},
+    "rectangle": {"rect": _bounds, "h": float},
     "strip": {"half_width": float, "length": float, "h": float},
     "annulus": {"r0": float, "r1": float, "nr": _count, "ntheta": _count,
-                "center": (_array, (0.0, 0.0))},
+                "center": (_pair, (0.0, 0.0))},
     "disk": {"radius": float, "h": float},
-    "masked": {"rect": _array, "h": float, "mask": _region},
+    "masked": {"rect": _bounds, "h": float, "mask": _region},
 }
 
 
@@ -271,7 +283,7 @@ def cmd_radial(cfg: dict, args) -> int:
 
 def cmd_growth(cfg: dict, args) -> int:
     gc = _read(cfg["growth"], "growth", {
-        "p": (_array, (0.0, 0.0)), "r0": float, "r_max": float, "n_radii": (_count, 200),
+        "p": (_pair, (0.0, 0.0)), "r0": float, "r_max": float, "n_radii": (_count, 200),
         "variant": (str, "plain"), "mask": (_region, None), "n_arc": (_count, 512)})
     model = _build_model(cfg)
     out = _out_dir(cfg, args)
@@ -313,7 +325,7 @@ def _experiment_exit(name: str, converged) -> int:
 def _exp_nil_strip(cfg, out):
     scfg = _solver_config(cfg["solver"])
     ec = _read(cfg["experiment"], "experiment", {
-        "tau": (float, 0.5), "half_width": (float, 1.0), "n_list": (_array, (2, 4, 8)),
+        "tau": (float, 0.5), "half_width": (float, 1.0), "n_list": (_floats, (2, 4, 8)),
         "K": (float, 5.0), "h": (float, 1 / 16)})
     rep = nil.strip_uniqueness_experiment(ec["tau"], ec["half_width"], ec["n_list"], ec["K"],
                                           h=ec["h"], config=scfg)
@@ -336,7 +348,7 @@ def _exp_removable(cfg, out):
     # the config's solver section goes over the experiment's tight tolerance
     scfg = _solver_config({"tol_factor": experiments._TOL_FACTOR, **cfg["solver"]})
     ec = _read(cfg["experiment"], "experiment", {
-        "case": (str, "disk"), "hs": (_array, experiments._HS), "puncture": (_array, None)})
+        "case": (str, "disk"), "hs": (_floats, experiments._HS), "puncture": (_pair, None)})
     case, hs, point = ec["case"], ec["hs"], ec["puncture"]
     if case in experiments._PUNCTURE_CASES:
         rep = experiments._run_puncture_case(case, hs, point, config=scfg)
@@ -365,7 +377,7 @@ def _exp_removable(cfg, out):
 
 def _exp_ck_fit(cfg, out):
     ec = _read(cfg["experiment"], "experiment", {
-        "c_pair": (_floats, (1.0, 4.0)), "r0": (float, 1.0),
+        "c_pair": (_pair, (1.0, 4.0)), "r0": (float, 1.0),
         "n_radii": (_count, 200), "r_max_list": (_floats, (10.0, 50.0, 100.0))})
     c_u, c_v = ec["c_pair"]
     model = builtin_model("euclidean")

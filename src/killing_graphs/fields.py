@@ -1,9 +1,10 @@
 """Scalar fields on a chart: expression-backed or callable-backed.
 
 A :class:`ScalarField` bundles a vectorized value function with optional
-hand-coded partial derivatives.  Built-in metric presets supply analytic
-partials (making downstream curvature recovery exact); fields parsed from
-user expressions fall back to fourth-order central differences.
+hand-coded first partial derivatives.  Built-in metric presets supply them
+where a caller reads them (making downstream curvature recovery exact).
+Every partial not supplied, those of fields parsed from user expressions
+among them, and every second partial is a fourth-order central difference.
 """
 
 from __future__ import annotations
@@ -55,14 +56,11 @@ def _fd_second(fn, x, y, h=None):
 
 @dataclass
 class ScalarField:
-    """A scalar function of chart coordinates with optional analytic partials."""
+    """A scalar function of chart coordinates with optional analytic first partials."""
 
     fn: Callable
     fx: Optional[Callable] = None
     fy: Optional[Callable] = None
-    fxx: Optional[Callable] = None
-    fxy: Optional[Callable] = None
-    fyy: Optional[Callable] = None
 
     def value(self, x, y):
         return np.asarray(self.fn(np.asarray(x, dtype=np.float64),
@@ -78,18 +76,13 @@ class ScalarField:
         return _fd_partials(self.fn, x, y)
 
     def second_partials(self, x, y):
-        if self.fxx is not None and self.fxy is not None and self.fyy is not None:
-            return (np.asarray(self.fxx(x, y), dtype=np.float64),
-                    np.asarray(self.fxy(x, y), dtype=np.float64),
-                    np.asarray(self.fyy(x, y), dtype=np.float64))
         return _fd_second(self.fn, x, y)
 
 
 def const_field(c: float) -> ScalarField:
     c = float(c)
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    return ScalarField(fn=lambda x, y: np.full(np.broadcast(x, y).shape, c),
-                       fx=zero, fy=zero, fxx=zero, fxy=zero, fyy=zero)
+    return ScalarField(fn=lambda x, y: np.full(np.broadcast(x, y).shape, c), fx=zero, fy=zero)
 
 
 def expr_field(source: str) -> ScalarField:
@@ -98,8 +91,8 @@ def expr_field(source: str) -> ScalarField:
     return ScalarField(fn=lambda x, y: ex.evaluate(ast, x, y))
 
 
-def callable_field(fn, fx=None, fy=None, **kw) -> ScalarField:
-    return ScalarField(fn=fn, fx=fx, fy=fy, **kw)
+def callable_field(fn, fx=None, fy=None) -> ScalarField:
+    return ScalarField(fn=fn, fx=fx, fy=fy)
 
 
 def as_field(spec) -> ScalarField:

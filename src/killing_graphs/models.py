@@ -8,9 +8,10 @@ on a rectangular chart.  Sign convention: the vertical one-form is
 dz - lambda (a dx + b dy), so the classical Heisenberg form
 tau (y dx - x dy) + dz maps to a = -tau*y, b = tau*x.
 
-Built-in presets carry hand-coded partial derivatives of lambda, a, b so
-that bundle-curvature recovery is exact; user-specified expression fields
-fall back to numeric differentiation.
+Built-in presets hand-code the partial derivatives of lambda, a and b, the
+ones that bundle-curvature recovery and the geodesic flow read, so that
+those are exact; mu's partials, and the partials of user-specified
+expression fields, fall back to numeric differentiation.
 """
 
 from __future__ import annotations
@@ -86,6 +87,21 @@ class MetricModel:
 # ---------------------------------------------------------------------------
 # Presets
 
+def _zero(x, y):
+    return np.zeros(np.broadcast(x, y).shape)
+
+
+def _inside_unit_disk(x, y):
+    return x ** 2 + y ** 2 < (1.0 - _DEFAULT_MARGIN) ** 2
+
+
+def _rotation(k):
+    """The connection (a, b) = (-k y, k x), of curl 2k, with its constant partials."""
+    a = callable_field(lambda x, y: -k * y + 0.0 * x, fx=_zero, fy=const_field(-k).fn)
+    b = callable_field(lambda x, y: k * x + 0.0 * y, fx=const_field(k).fn, fy=_zero)
+    return a, b
+
+
 def _euclidean(chart):
     return MetricModel(chart=chart or Rect(-1e6, 1e6, -1e6, 1e6),
                        lam=const_field(1.0), mu=const_field(1.0),
@@ -94,86 +110,63 @@ def _euclidean(chart):
 
 
 def _nil3(tau, chart):
-    z = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    a = callable_field(lambda x, y: -tau * y + 0.0 * x, fx=z,
-                       fy=lambda x, y: np.full(np.broadcast(x, y).shape, -tau))
-    b = callable_field(lambda x, y: tau * x + 0.0 * y,
-                       fx=lambda x, y: np.full(np.broadcast(x, y).shape, tau), fy=z)
+    tau = float(tau)
+    a, b = _rotation(tau)
     return MetricModel(chart=chart or Rect(-1e6, 1e6, -1e6, 1e6),
                        lam=const_field(1.0), mu=const_field(1.0), a=a, b=b,
                        name="nil3", params=(tau,), base_kind="flat")
 
 
 def _sol3_halfplane(chart):
-    z = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    lam = callable_field(lambda x, y: 1.0 / y + 0.0 * x, fx=z,
+    lam = callable_field(lambda x, y: 1.0 / y + 0.0 * x, fx=_zero,
                          fy=lambda x, y: -1.0 / y ** 2 + 0.0 * x)
-    mu = callable_field(lambda x, y: y + 0.0 * x, fx=z,
-                        fy=lambda x, y: np.ones(np.broadcast(x, y).shape))
-    chart = chart or Rect(-1e6, 1e6, _DEFAULT_MARGIN, 1e6)
-    return MetricModel(chart=chart, lam=lam, mu=mu,
-                       a=const_field(0.0), b=const_field(0.0),
-                       name="sol3-halfplane",
-                       guard=lambda x, y: y > _DEFAULT_MARGIN,
-                       base_kind="hyperbolic-halfplane")
+    return MetricModel(chart=chart or Rect(-1e6, 1e6, _DEFAULT_MARGIN, 1e6), lam=lam,
+                       mu=callable_field(lambda x, y: y + 0.0 * x),
+                       a=const_field(0.0), b=const_field(0.0), name="sol3-halfplane",
+                       guard=lambda x, y: y > _DEFAULT_MARGIN, base_kind="hyperbolic-halfplane")
 
 
 def _disk_lambda():
     # lambda = 2/(1 - r^2);  lambda_x = lambda^2 x, lambda_y = lambda^2 y.
-    def lam(x, y):
-        return 2.0 / (1.0 - (x ** 2 + y ** 2))
-
-    return callable_field(lam,
-                          fx=lambda x, y: lam(x, y) ** 2 * x,
+    lam = lambda x, y: 2.0 / (1.0 - (x ** 2 + y ** 2))
+    return callable_field(lam, fx=lambda x, y: lam(x, y) ** 2 * x,
                           fy=lambda x, y: lam(x, y) ** 2 * y)
 
 
 def _sol3_disk(chart):
-    def mu_fn(x, y):
-        return (1.0 - x ** 2 - y ** 2) / ((x - 1.0) ** 2 + y ** 2)
-
-    def mu_fx(x, y):
-        D = (x - 1.0) ** 2 + y ** 2
-        N = 1.0 - x ** 2 - y ** 2
-        return (-2.0 * x * D - N * 2.0 * (x - 1.0)) / D ** 2
-
-    def mu_fy(x, y):
-        D = (x - 1.0) ** 2 + y ** 2
-        N = 1.0 - x ** 2 - y ** 2
-        return (-2.0 * y * D - N * 2.0 * y) / D ** 2
-
-    return MetricModel(chart=chart or Rect(-1, 1, -1, 1),
-                       lam=_disk_lambda(),
-                       mu=callable_field(mu_fn, fx=mu_fx, fy=mu_fy),
-                       a=const_field(0.0), b=const_field(0.0),
-                       name="sol3-disk",
-                       guard=lambda x, y: x ** 2 + y ** 2 < (1.0 - _DEFAULT_MARGIN) ** 2,
-                       base_kind="hyperbolic-disk")
+    mu = callable_field(lambda x, y: (1.0 - x ** 2 - y ** 2) / ((x - 1.0) ** 2 + y ** 2))
+    return MetricModel(chart=chart or Rect(-1, 1, -1, 1), lam=_disk_lambda(), mu=mu,
+                       a=const_field(0.0), b=const_field(0.0), name="sol3-disk",
+                       guard=_inside_unit_disk, base_kind="hyperbolic-disk")
 
 
 def _e_minus1_tau(tau, chart):
-    z = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    a = callable_field(lambda x, y: -2.0 * tau * y + 0.0 * x, fx=z,
-                       fy=lambda x, y: np.full(np.broadcast(x, y).shape, -2.0 * tau))
-    b = callable_field(lambda x, y: 2.0 * tau * x + 0.0 * y,
-                       fx=lambda x, y: np.full(np.broadcast(x, y).shape, 2.0 * tau), fy=z)
+    tau = float(tau)
+    a, b = _rotation(2.0 * tau)
     return MetricModel(chart=chart or Rect(-1, 1, -1, 1),
                        lam=_disk_lambda(), mu=const_field(1.0), a=a, b=b,
-                       name="e-minus1-tau", params=(tau,),
-                       guard=lambda x, y: x ** 2 + y ** 2 < (1.0 - _DEFAULT_MARGIN) ** 2,
+                       name="e-minus1-tau", params=(tau,), guard=_inside_unit_disk,
                        base_kind="hyperbolic-disk")
 
 
-def _warped_plane(mu_spec, chart):
+def _warped_plane(mu, chart):
     # radial warping factors such as mu = r vanish at the pole; usage is on
     # annular/exterior domains, so the origin is guarded out
-    mu = as_field(mu_spec)
-    return MetricModel(chart=chart or Rect(-1e6, 1e6, -1e6, 1e6),
-                       lam=const_field(1.0), mu=mu,
-                       a=const_field(0.0), b=const_field(0.0),
-                       name="warped-plane",
-                       guard=lambda x, y: x ** 2 + y ** 2 > _DEFAULT_MARGIN ** 2,
-                       base_kind="flat")
+    return MetricModel(chart=chart or Rect(-1e6, 1e6, -1e6, 1e6), lam=const_field(1.0),
+                       mu=as_field(mu), a=const_field(0.0), b=const_field(0.0),
+                       name="warped-plane", base_kind="flat",
+                       guard=lambda x, y: x ** 2 + y ** 2 > _DEFAULT_MARGIN ** 2)
+
+
+# each preset's builder, called as builder(*params, chart), and its number of params
+_PRESETS = {
+    "euclidean": (_euclidean, 0),
+    "nil3": (_nil3, 1),
+    "sol3-halfplane": (_sol3_halfplane, 0),
+    "sol3-disk": (_sol3_disk, 0),
+    "e-minus1-tau": (_e_minus1_tau, 1),
+    "warped-plane": (_warped_plane, 1),
+}
 
 
 def builtin_model(name: str, params: Sequence = (), chart: Optional[Rect] = None) -> MetricModel:
@@ -181,21 +174,14 @@ def builtin_model(name: str, params: Sequence = (), chart: Optional[Rect] = None
 
     Presets: euclidean; nil3(tau); sol3-halfplane; sol3-disk;
     e-minus1-tau(tau); warped-plane(mu) where mu is an expression in r
-    (or x, y), a number, or a callable.
+    (or x, y), a number, or a callable.  A wrong number of params is a ValueError.
     """
-    if name == "euclidean":
-        return _euclidean(chart)
-    if name == "nil3":
-        return _nil3(float(params[0]), chart)
-    if name == "sol3-halfplane":
-        return _sol3_halfplane(chart)
-    if name == "sol3-disk":
-        return _sol3_disk(chart)
-    if name == "e-minus1-tau":
-        return _e_minus1_tau(float(params[0]), chart)
-    if name == "warped-plane":
-        return _warped_plane(params[0], chart)
-    raise ValueError(f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    build, count = _PRESETS[name]
+    if len(params) != count:
+        raise ValueError(f"preset {name!r} takes {count} params, got {len(params)}")
+    return build(*params, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +208,7 @@ def gauge_change(model: MetricModel, d) -> MetricModel:
     lam = model.lam
 
     # The partials come from the product rule with d's second partials
-    # (analytic when available, wide-step fourth-order differences
-    # otherwise).  This keeps the exact-form cancellation in tau_of_model at
+    # (wide-step fourth-order differences).  This keeps the exact-form cancellation in tau_of_model at
     # ~1e-9 instead of the catastrophic nested-difference roundoff.
     def shifted(c: ScalarField, k: int) -> ScalarField:
         """c + d_k/lambda, where k = 0 shifts a by d_x and k = 1 shifts b by d_y."""

@@ -74,9 +74,6 @@ def invariant_barrier(tau: float, c: float = 0.0, shift: float = 0.0) -> ScalarF
         lambda x, y: shift + tau * x * (y - c),
         fx=lambda x, y: tau * (y - c) + 0.0 * x,
         fy=lambda x, y: tau * x + 0.0 * y,
-        fxx=lambda x, y: np.zeros(np.broadcast(x, y).shape),
-        fxy=lambda x, y: np.full(np.broadcast(x, y).shape, tau),
-        fyy=lambda x, y: np.zeros(np.broadcast(x, y).shape),
     )
 
 

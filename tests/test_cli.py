@@ -12,6 +12,7 @@ import pytest
 import killing_graphs
 from killing_graphs import experiments, solver
 from killing_graphs.cli import _build_domain, _load_config, main
+from killing_graphs.grids import GridDomain
 from killing_graphs.models import builtin_model
 from killing_graphs.operator import AssemblyCache
 from killing_graphs.solver import SolveConfig, solve_dirichlet
@@ -778,3 +779,89 @@ def test_readme_example_configs_run(tmp_path, command, title):
     # the documented keys are the declared keys
     cfg = write_cfg(tmp_path, _readme_config(title))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Preset params and list values are read with their count
+
+@pytest.mark.parametrize("model", [{"preset": "nil3", "params": [0.5, 9]},
+                                   {"preset": "euclidean", "params": [0.5]},
+                                   {"preset": "nil3"}])
+def test_wrong_preset_params_count_exit_1(tmp_path, capsys, model):
+    # one param too many solved without a word; one too few raised IndexError
+    err = _config_error(tmp_path, capsys, ["solve"], {**_SOLVE, "model": model})
+    assert repr(model["preset"]) in err and "params" in err
+
+
+@pytest.mark.parametrize("model", [{"preset": "nil3", "params": [None]},
+                                   {"preset": "warped-plane", "params": [[1, 2]]}])
+def test_preset_param_of_wrong_type_exit_1(tmp_path, capsys, model):
+    # a TypeError traceback
+    assert "bad model spec" in _config_error(tmp_path, capsys, ["solve"], {**_SOLVE, "model": model})
+
+
+_ANNULUS = {**_SOLVE, "domain": _SHAPES["annulus"]}
+_GROWTH = {"model": {"preset": "euclidean"}, "growth": {"r0": 1.0, "r_max": 10.0}}
+_BAD_LISTS = [
+    # the first two raised IndexError, the next three TypeError
+    (["growth"], _GROWTH, ("growth", "p"), [0.3]),
+    (["solve"], _ANNULUS, ("domain", "center"), [0.5]),
+    (["experiment", "nil-strip"], {}, ("experiment", "n_list"), ["a"]),
+    (["experiment", "removable-singularity"], {}, ("experiment", "hs"), ["x"]),
+    (["solve"], _SOLVE, ("puncture",), ["a", 0]),
+    # the extra value was dropped
+    (["growth"], _GROWTH, ("growth", "p"), [0.3, 0.0, 5]),
+    (["solve"], _SOLVE, ("puncture",), [0.1, 0.1, 7]),
+    (["solve"], _SOLVE, ("domain", "rect"), [-1, 1, -1]),
+    (["solve"], {**_SOLVE, "domain": _SHAPES["masked"]}, ("domain", "rect"), [-1, 1, -1, 1, 2]),
+    (["solve"], _SOLVE, ("model", "chart"), ["a", "b", "c", "d"]),
+    (["experiment", "removable-singularity"], {}, ("experiment", "puncture"), [0.1]),
+    (["experiment", "collin-krust-fit"], {}, ("experiment", "c_pair"), [1.0, 4.0, 9.0]),
+]
+
+
+@pytest.mark.parametrize("command, cfg, path, value", _BAD_LISTS,
+                         ids=[f"{'/'.join(p)}={v}" for _, _, p, v in _BAD_LISTS])
+def test_list_value_of_wrong_shape_exit_1(tmp_path, capsys, command, cfg, path, value):
+    err = _config_error(tmp_path, capsys, command, _with(cfg, path, value))
+    assert repr(path[-1]) in err
+
+
+def _solution_u(tmp_path, cfg):
+    """The u column of the solve of ``cfg``, in its CSV's order."""
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    return np.array([float(r[2]) for r in read_csv(out / "solution.csv")[1:]])
+
+
+def test_explicit_model_solve_matches_the_preset(tmp_path):
+    explicit = {**_SOLVE, "model": {"chart": [-2, 2, -2, 2], "lambda": "1", "mu": "1"}}
+    out_e, out_p = tmp_path / "explicit", tmp_path / "preset"
+    for cfg, out in ((explicit, out_e), (_SOLVE, out_p)):
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert (out_e / "solution.csv").read_bytes() == (out_p / "solution.csv").read_bytes()
+
+
+def test_masked_shape_solves_the_masked_lattice(tmp_path):
+    dom = GridDomain.masked(-1, 1, -1, 1, 0.25, keep=lambda x, y: 1 - x ** 2 - y ** 2 > 0.0,
+                            boundary=lambda x, y: x * y)
+    rep = solve_dirichlet(builtin_model("euclidean"), dom)
+    u = _solution_u(tmp_path, {**_SOLVE, "domain": _SHAPES["masked"]})
+    assert np.array_equal(u, rep.u.values[dom.interior_mask()])
+
+
+def test_top_level_puncture_solves_the_punctured_lattice(tmp_path):
+    dom = GridDomain.rectangle(-1, 1, -1, 1, 0.25, boundary=lambda x, y: x * y)
+    dom = dom.with_puncture(dom.nearest_node((0.1, 0.3)))
+    rep = solve_dirichlet(builtin_model("euclidean"), dom)
+    u = _solution_u(tmp_path, {**_SOLVE, "puncture": [0.1, 0.3]})
+    assert np.array_equal(u, rep.u.values[dom.interior_mask()])
+
+
+def test_config_root_not_an_object_exit_1(tmp_path, capsys):
+    assert "config root must be a JSON object" in _config_error(tmp_path, capsys, ["solve"], [1, 2])
+
+
+def test_unknown_shape_exit_1(tmp_path, capsys):
+    err = _config_error(tmp_path, capsys, ["solve"], _with(_SOLVE, ("domain", "shape"), "hexagon"))
+    assert "'hexagon'" in err and "'shape'" in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from killing_graphs.grids import GridDomain
+from killing_graphs.grids import GridDomain, ScalarGrid
 from killing_graphs.models import builtin_model
 from killing_graphs.growth import (L_plain, L_weighted, _cumulative_trapezoid,
                                    collin_krust_rate, e1tau_g, e1tau_growth, g_of_r,
@@ -358,6 +358,16 @@ def test_ck_catenoid_pair_positive_slope():
     assert fit.positive
     # asymptotic slope is pi (M ~ ln r / 2 and g = ln r / 2 pi)
     assert fit.slope == pytest.approx(np.pi, rel=0.2)
+
+
+def test_ck_skips_radii_whose_arcs_leave_both_grids():
+    # a circle of radius above ~2.83 misses [-2, 2]^2: 13 of the 20 radii stay
+    dom = GridDomain.rectangle(-2, 2, -2, 2, 1 / 8)
+    u, v = (ScalarGrid.from_function(dom, catenoid(c)) for c in (1.0, 4.0))
+    prof = g_of_r(builtin_model("euclidean"), (0, 0), 0.5, 4.0, n_radii=20, spacing="linear")
+    fit = collin_krust_rate(u, v, prof)
+    assert len(fit.radii) == 13
+    assert np.array_equal(fit.radii, prof.radii[:13])
 
 
 def test_ck_M_nondecreasing_for_solution_pair():

@@ -51,6 +51,14 @@ def test_unknown_preset():
         builtin_model("klein-bottle")
 
 
+@pytest.mark.parametrize("name, params, count", [("nil3", (), 1), ("nil3", (0.5, 9), 1),
+                                                 ("euclidean", (0.5,), 0)])
+def test_wrong_params_count_rejected(name, params, count):
+    # extra params were dropped and a missing one raised IndexError
+    with pytest.raises(ValueError, match=f"preset '{name}' takes {count} params"):
+        builtin_model(name, params)
+
+
 def test_invalid_metric_rejected():
     with pytest.raises(ValueError, match="mu must be positive"):
         builtin_model("warped-plane", ("x",), chart=Rect(-1, 1, -1, 1))

@@ -109,6 +109,14 @@ def test_barrier_shift_is_vertical_translation():
     assert np.allclose(b5.value(xs, -xs) - b0.value(xs, -xs), 5.0)
 
 
+def test_barrier_second_partials_by_differences():
+    # u_xx = 0, u_xy = tau, u_yy = 0: the field holds no second-partial slot
+    bar = invariant_barrier(TAU, c=0.4, shift=1.0)
+    for x, y in [(0.3, 0.2), (-1.5, 0.7)]:
+        assert np.allclose([float(v) for v in bar.second_partials(x, y)], [0.0, TAU, 0.0],
+                           rtol=0.0, atol=1e-8)
+
+
 def test_barrier_residual_refines_at_second_order():
     m = builtin_model("nil3", (TAU,))
     bar = invariant_barrier(TAU, c=0.4, shift=1.0)

@@ -198,6 +198,13 @@ def test_bounded_for_log_power_above_one():
     assert v.verdict == "bounded"
 
 
+def test_shells_stop_where_the_slope_is_undefined():
+    # sqrt(10 - r) is undefined at the third shell end, r = 16
+    v = boundedness_classify("sqrt(10 - r)", 2.0)
+    assert v.verdict == "inconclusive"
+    assert np.allclose(v.window_radii, [2.0, 4.0], rtol=1e-14)
+
+
 def test_unbounded_catenoid():
     assert boundedness_classify(1.0, 1.0).verdict == "unbounded"
 
