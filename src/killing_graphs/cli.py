@@ -10,10 +10,15 @@ Subcommands::
 Experiment names: nil-strip, removable-singularity, collin-krust-fit,
 sol3-wedge, e1tau-growth, iterated-log.
 
-Exit codes: 0 success, 1 config error (no output files are written),
-2 solver non-convergence (diagnostics are written), 3 numerical error after
-the config was read: a vertical slope, a geodesic circle leaving the chart,
-or an expression undefined where it was evaluated.
+Each command returns its table, its record, a summary and the solves it
+ran; one runner writes the table (CSV) and the record (JSON), prints
+``<command>: <summary>; wrote <table>`` and picks the exit code.
+Exit codes: 0 success, 1 config error (no output files are written), 2 some
+solve did not converge (outputs written; stderr gives each failing solve's
+message, residual and tolerance), 3 numerical error after the config was
+read: a vertical slope, a geodesic circle leaving the chart, or an
+expression undefined where it was evaluated.  A list key with no value, an
+``n`` below 2 and a lattice node outside the model's chart are config errors.
 CSV is RFC-4180 with a header row; floats carry 17 significant digits so a
 re-parse reproduces the in-memory values bit-exactly.
 """
@@ -65,12 +70,12 @@ def _read(section: dict, where: str, spec: dict) -> dict:
     return values
 
 
-def _nonnegative(kind):
-    """A converter for finite values >= 0 that ``kind`` keeps as they are (not 2.7 as int)."""
+def _at_least(low, kind=float):
+    """A converter for finite values >= ``low`` that ``kind`` keeps as they are (2.7 is no int)."""
     def convert(v):
-        if isinstance(v, (int, float)) and 0 <= v < np.inf and kind(v) == v:
+        if isinstance(v, (int, float)) and low <= v < np.inf and kind(v) == v:
             return kind(v)
-        raise ValueError(f"expected a finite {kind.__name__} >= 0, got {v!r}")
+        raise ValueError(f"expected a finite {kind.__name__} >= {low}, got {v!r}")
     return convert
 
 
@@ -80,21 +85,20 @@ def _array(v) -> tuple:
     raise TypeError(f"expected a list, got {v!r}")
 
 
-_count, _tolerance = _nonnegative(int), _nonnegative(float)
-_floats = lambda v: tuple(map(float, _array(v)))
+def _list_of(convert, n=None):
+    """A converter for a list of exactly ``n`` values, or of one or more if ``n`` is None,
+    each taken by ``convert``."""
+    def read(v):
+        values = _array(v)
+        if (len(values) != n) if n else not values:
+            raise ValueError(f"expected a list of {n or 'one or more'} values, got {v!r}")
+        return tuple(map(convert, values))
+    return read
 
 
-def _floats_of(n):
-    """A converter for a list of exactly ``n`` numbers."""
-    def convert(v):
-        if len(_array(v)) != n:
-            raise ValueError(f"expected a list of {n} numbers, got {v!r}")
-        return _floats(v)
-    return convert
-
-
-_pair, _bounds = _floats_of(2), _floats_of(4)     # a chart point; x0, x1, y0, y1
-_chart = lambda v: Rect(*_bounds(v))
+_count, _tolerance = _at_least(0, int), _at_least(0)
+_floats, _pair, _bounds = _list_of(float), _list_of(float, 2), _list_of(float, 4)
+_chart = lambda v: Rect(*_bounds(v))     # x0, x1, y0, y1
 
 
 def _region(v):
@@ -191,12 +195,6 @@ def _solver_config(section: dict) -> SolveConfig:
         "tol_factor": (_tolerance, SolveConfig.tol_factor)}))
 
 
-def _out_dir(cfg: dict, args) -> Path:
-    """The output directory; the writers make it, so a config error leaves none."""
-    d = _read(cfg["output"], "output", {"dir": (str, ".")})["dir"]
-    return Path(args.out or d)
-
-
 _CSV_BLOCK_ROWS = 4096     # rows per format: at 6 columns the block's floats take < 1 MiB
 
 
@@ -239,13 +237,13 @@ def _solve_record(rep: SolveReport, prefix: str = "") -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Commands: each reads its own sections of the config, runs, and returns
+# ((csv name, header, rows, footer), (json name, record), summary, solves),
+# where solves are the SolveReports it ran; the runner writes the files
 
-def cmd_solve(cfg: dict, args) -> int:
+def cmd_solve(cfg: dict):
     model, dom = _build_model(cfg), _build_domain(cfg)
-    scfg = _solver_config(cfg["solver"])
-    out = _out_dir(cfg, args)
-    rep = solve_dirichlet(model, dom, H=cfg["H"], config=scfg)
+    rep = solve_dirichlet(model, dom, H=cfg["H"], config=_solver_config(cfg["solver"]))
     nf = NodeFields(model, dom)
     G1, G2 = nf.gradient_arrays(rep.u.values)
     W = np.sqrt(1.0 + nf.MU ** 2 * (G1 ** 2 + G2 ** 2))
@@ -253,98 +251,67 @@ def cmd_solve(cfg: dict, args) -> int:
     m = dom.interior_mask()
     rows = np.column_stack([nf.X[m], nf.Y[m], rep.u.values[m], W[m], NU[m],
                             rep.residual.values[m]])
-    _write_csv(out / "solution.csv", ["x", "y", "u", "W", "nu", "residual"], rows)
-    _write_json(out / "report.json", _solve_record(rep))
-    if not rep.converged:
-        print(f"solve: NOT converged ({rep.message}); residual {rep.residual_norm:.3e} "
-              f"> tolerance {rep.tolerance:.3e}", file=sys.stderr)
-        return 2
-    print(f"solve: converged in {rep.iterations} iterations, "
-          f"residual {rep.residual_norm:.3e}; wrote {out/'solution.csv'}")
-    return 0
+    state = "converged in" if rep.converged else f"stopped ({rep.stop_reason}) after"
+    return (("solution.csv", ["x", "y", "u", "W", "nu", "residual"], rows, None),
+            ("report.json", _solve_record(rep)),
+            f"{state} {rep.iterations} iterations, residual {rep.residual_norm:.3e}", [rep])
 
 
-def cmd_radial(cfg: dict, args) -> int:
+def cmd_radial(cfg: dict):
     rc = _read(cfg["radial"], "radial", {
         "c": (float, 1.0), "mu": (radial.as_radial, "1"), "r0": (float, 1.0),
         "r1": float, "n_samples": (_count, 50)})
-    out = _out_dir(cfg, args)
     prof = radial.radial_profile(**rc)
-    _write_csv(out / "radial.csv", ["r", "u"], list(zip(prof.radii, prof.values)))
-    _write_json(out / "radial.json", {
-        "c": prof.c, "r0": prof.r0,
-        "sup_estimate": prof.sup_estimate, "tail": prof.tail,
-        "n_samples": len(prof.radii),
-    })
-    print(f"radial: c={prof.c}, sup estimate {prof.sup_estimate:.12g}; "
-          f"wrote {out/'radial.csv'}")
-    return 0
+    return (("radial.csv", ["r", "u"], list(zip(prof.radii, prof.values)), None),
+            ("radial.json", {"c": prof.c, "r0": prof.r0, "sup_estimate": prof.sup_estimate,
+                             "tail": prof.tail, "n_samples": len(prof.radii)}),
+            f"c={prof.c}, sup estimate {prof.sup_estimate:.12g}", [])
 
 
-def cmd_growth(cfg: dict, args) -> int:
+def cmd_growth(cfg: dict):
     gc = _read(cfg["growth"], "growth", {
         "p": (_pair, (0.0, 0.0)), "r0": float, "r_max": float, "n_radii": (_count, 200),
         "variant": (str, "plain"), "mask": (_region, None), "n_arc": (_count, 512)})
     model = _build_model(cfg)
-    out = _out_dir(cfg, args)
     prof = growth.g_of_r(model, **gc)
     # the profile holds its own variant's L; compute only the other one
     plain = prof.variant == "plain"
     other = [(growth.L_weighted if plain else growth.L_plain)(model, a) for a in prof.arcs]
     Lb, Lw = (prof.L, other) if plain else (other, prof.L)
-    rows = list(zip(prof.radii, Lb, Lw, prof.g))
-    _write_csv(out / "growth.csv", ["r", "L_plain", "L_weighted", "g"], rows,
-               footer=["verdict", prof.verdict, "", ""])
-    _write_json(out / "growth.json", {
-        "p": list(prof.p), "variant": prof.variant, "verdict": prof.verdict,
-        "g_final": float(prof.g[-1]), "n_radii": len(prof.radii),
-        # the first radius whose arc kept enough samples, and what the mask
-        # dropped from the arc at each radius used
-        "r0": float(prof.radii[0]),
-        "dropped_arc_samples": [gc["n_arc"] - len(a.points) for a in prof.arcs],
-        # the geodesic flow's accepted steps out to r_max and the sum of
-        # their local error estimates; null when every circle has a closed form
-        "flow_steps": prof.arcs[-1].flow_steps,
-        "flow_error_estimate": prof.arcs[-1].flow_error_estimate,
-    })
-    print(f"growth: verdict {prof.verdict}, g({prof.radii[-1]:g}) = {prof.g[-1]:.9g}; "
-          f"wrote {out/'growth.csv'}")
-    return 0
+    return (("growth.csv", ["r", "L_plain", "L_weighted", "g"],
+             list(zip(prof.radii, Lb, Lw, prof.g)), ["verdict", prof.verdict, "", ""]),
+            ("growth.json", {
+                "p": list(prof.p), "variant": prof.variant, "verdict": prof.verdict,
+                "g_final": float(prof.g[-1]), "n_radii": len(prof.radii),
+                # the first radius whose arc kept enough samples, and what the mask
+                # dropped from the arc at each radius used
+                "r0": float(prof.radii[0]),
+                "dropped_arc_samples": [gc["n_arc"] - len(a.points) for a in prof.arcs],
+                # the geodesic flow's accepted steps out to r_max and the sum of
+                # their local error estimates; null when every circle has a closed form
+                "flow_steps": prof.arcs[-1].flow_steps,
+                "flow_error_estimate": prof.arcs[-1].flow_error_estimate}),
+            f"verdict {prof.verdict}, g({prof.radii[-1]:g}) = {prof.g[-1]:.9g}", [])
 
 
-def _experiment_exit(name: str, converged) -> int:
-    """2 when any solve of the experiment did not converge, as in ``solve``."""
-    failed = sum(not c for c in converged)
-    if failed:
-        print(f"{name}: {failed} of {len(converged)} solves NOT converged "
-              f"(see the json report)", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _exp_nil_strip(cfg, out):
+def _exp_nil_strip(cfg):
     scfg = _solver_config(cfg["solver"])
     ec = _read(cfg["experiment"], "experiment", {
         "tau": (float, 0.5), "half_width": (float, 1.0), "n_list": (_floats, (2, 4, 8)),
         "K": (float, 5.0), "h": (float, 1 / 16)})
     rep = nil.strip_uniqueness_experiment(ec["tau"], ec["half_width"], ec["n_list"], ec["K"],
                                           h=ec["h"], config=scfg)
-    rows = [(r.n, r.K, r.core_sup) for r in rep.runs]
-    _write_csv(out / "nil_strip.csv", ["n", "K", "core_sup"], rows)
-    sups = [r.core_sup for r in rep.runs]
-    _write_json(out / "nil_strip.json", {
-        "tau": rep.tau, "half_width": rep.width,
-        "core_sups": sups,
-        "strictly_decreasing": all(b < a for a, b in zip(sups, sups[1:])),
-        "barrier_comparison_passed": rep.barrier_ok,
-        "note": rep.note,
-        "runs": [{"n": r.n, **_solve_record(r.report)} for r in rep.runs],
-    })
-    print(f"nil-strip: core sups {['%.6g' % s for s in sups]}; wrote {out/'nil_strip.csv'}")
-    return _experiment_exit("nil-strip", [r.converged for r in rep.runs])
+    sups, rows = [r.core_sup for r in rep.runs], [(r.n, r.K, r.core_sup) for r in rep.runs]
+    return (("nil_strip.csv", ["n", "K", "core_sup"], rows, None),
+            ("nil_strip.json", {
+                "tau": rep.tau, "half_width": rep.width, "core_sups": sups,
+                "strictly_decreasing": all(b < a for a, b in zip(sups, sups[1:])),
+                "barrier_comparison_passed": rep.barrier_ok, "note": rep.note,
+                "runs": [{"n": r.n, **_solve_record(r.report)} for r in rep.runs]}),
+            f"core sups {['%.6g' % s for s in sups]}", [r.report for r in rep.runs])
 
 
-def _exp_removable(cfg, out):
+def _exp_removable(cfg):
     # the config's solver section goes over the experiment's tight tolerance
     scfg = _solver_config({"tol_factor": experiments._TOL_FACTOR, **cfg["solver"]})
     ec = _read(cfg["experiment"], "experiment", {
@@ -360,24 +327,21 @@ def _exp_removable(cfg, out):
                                                            H=cfg["H"], hs=hs, config=scfg)
     else:
         raise ConfigError(f"unknown removable-singularity case {case!r}")
-    rows = [(r.h, r.max_difference) for r in rep.runs]
-    _write_csv(out / "removable_singularity.csv", ["h", "max_difference"], rows)
-    _write_json(out / "removable_singularity.json", {
-        "case": case,
-        "differences": [r.max_difference for r in rep.runs],
-        "monotone_decay": rep.monotone_decay,
-        "runs": [{"h": r.h, **_solve_record(r.full, "full_"),
-                  **_solve_record(r.punctured, "punctured_")} for r in rep.runs],
-    })
-    print(f"removable-singularity[{case}]: diffs "
-          f"{['%.3e' % r.max_difference for r in rep.runs]}, monotone={rep.monotone_decay}")
-    return _experiment_exit("removable-singularity",
-                            [s.converged for r in rep.runs for s in (r.full, r.punctured)])
+    return (("removable_singularity.csv", ["h", "max_difference"],
+             [(r.h, r.max_difference) for r in rep.runs], None),
+            ("removable_singularity.json", {
+                "case": case, "differences": [r.max_difference for r in rep.runs],
+                "monotone_decay": rep.monotone_decay,
+                "runs": [{"h": r.h, **_solve_record(r.full, "full_"),
+                          **_solve_record(r.punctured, "punctured_")} for r in rep.runs]}),
+            f"case {case}, diffs {['%.3e' % r.max_difference for r in rep.runs]}, "
+            f"monotone={rep.monotone_decay}",
+            [s for r in rep.runs for s in (r.full, r.punctured)])
 
 
-def _exp_ck_fit(cfg, out):
+def _exp_ck_fit(cfg):
     ec = _read(cfg["experiment"], "experiment", {
-        "c_pair": (_pair, (1.0, 4.0)), "r0": (float, 1.0),
+        "c_pair": (_list_of(_at_least(1), 2), (1.0, 4.0)), "r0": (float, 1.0),
         "n_radii": (_count, 200), "r_max_list": (_floats, (10.0, 50.0, 100.0))})
     c_u, c_v = ec["c_pair"]
     model = builtin_model("euclidean")
@@ -394,18 +358,16 @@ def _exp_ck_fit(cfg, out):
         slopes.append(fit.slope)
         for r, M, g in zip(fit.radii, fit.M, fit.g):
             rows.append((r_max, r, M, g))
-    _write_csv(out / "collin_krust.csv", ["r_max", "r", "M", "g"], rows)
     mean = float(np.mean(slopes))
-    _write_json(out / "collin_krust.json", {
-        "c_pair": [c_u, c_v], "slopes": slopes, "mean_slope": mean,
-        "max_relative_deviation": float(max(abs(s - mean) / mean for s in slopes)),
-        "all_positive": all(s > 0 for s in slopes),
-    })
-    print(f"collin-krust-fit: slopes {['%.4f' % s for s in slopes]}")
-    return 0
+    return (("collin_krust.csv", ["r_max", "r", "M", "g"], rows, None),
+            ("collin_krust.json", {
+                "c_pair": [c_u, c_v], "slopes": slopes, "mean_slope": mean,
+                "max_relative_deviation": float(max(abs(s - mean) / mean for s in slopes)),
+                "all_positive": all(s > 0 for s in slopes)}),
+            f"slopes {['%.4f' % s for s in slopes]}", [])
 
 
-def _exp_sol3_wedge(cfg, out):
+def _exp_sol3_wedge(cfg):
     ec = _read(cfg["experiment"], "experiment", {
         "theta1": (float, np.pi / 4), "theta2": (float, np.pi / 4), "rho0": (float, 1.0),
         "rho_max": (float, 30.0), "n": (_count, 4000)})
@@ -415,18 +377,14 @@ def _exp_sol3_wedge(cfg, out):
     for rho, gv in zip(rhos[:: max(1, n // 400)], g[:: max(1, n // 400)]):
         wb = growth.sol3_wedge_bound(th1, th2, float(rho))
         rows.append((rho, wb.T, wb.length_bound, wb.g_lower_integrand, gv))
-    _write_csv(out / "sol3_wedge.csv",
-               ["rho", "T", "length_bound", "g_lower_integrand", "g_lower"],
-               rows, footer=["verdict", verdict, "", "", ""])
-    _write_json(out / "sol3_wedge.json", {
-        "theta1": th1, "theta2": th2, "verdict": verdict,
-        "T_at_1": growth.sol3_wedge_bound(th1, th2, 1.0).T,
-    })
-    print(f"sol3-wedge: verdict {verdict}")
-    return 0
+    return (("sol3_wedge.csv", ["rho", "T", "length_bound", "g_lower_integrand", "g_lower"],
+             rows, ["verdict", verdict, "", "", ""]),
+            ("sol3_wedge.json", {"theta1": th1, "theta2": th2, "verdict": verdict,
+                                 "T_at_1": growth.sol3_wedge_bound(th1, th2, 1.0).T}),
+            f"verdict {verdict}", [])
 
 
-def _exp_e1tau(cfg, out):
+def _exp_e1tau(cfg):
     ec = _read(cfg["experiment"], "experiment", {
         "H": (float, 0.5), "tau": (float, 0.0), "domain_kind": (str, "bounded-width"),
         "r0": (float, 1.0), "r_max": (float, 30.0), "n": (_count, 4000)})
@@ -437,21 +395,18 @@ def _exp_e1tau(cfg, out):
     for r, gv in zip(rs[:: max(1, n // 400)], g[:: max(1, n // 400)]):
         s = growth.e1tau_growth(H, tau, kind, float(r))
         rows.append((r, s.h_value, s.g_prime, gv))
-    _write_csv(out / "e1tau_growth.csv", ["r", "h", "g_prime", "g"], rows)
-    report = {"H": H, "tau": tau, "domain_kind": kind,
-              "asymptote_coeff": sample.asymptote_coeff,
-              "asymptote_kind": sample.asymptote_kind,
-              "g_final": float(g[-1])}
+    report = {"H": H, "tau": tau, "domain_kind": kind, "asymptote_coeff": sample.asymptote_coeff,
+              "asymptote_kind": sample.asymptote_kind, "g_final": float(g[-1])}
     if kind == "bounded-width" and H == 0.5:
         report["ratio_to_exp_half"] = float(g[-1] / np.exp(r_max / 2.0))
-    _write_json(out / "e1tau_growth.json", report)
-    print(f"e1tau-growth: g({r_max:g}) = {g[-1]:.6g} ({sample.asymptote_kind})")
-    return 0
+    return (("e1tau_growth.csv", ["r", "h", "g_prime", "g"], rows, None),
+            ("e1tau_growth.json", report),
+            f"g({r_max:g}) = {g[-1]:.6g} ({sample.asymptote_kind})", [])
 
 
-def _exp_iterated_log(cfg, out):
+def _exp_iterated_log(cfg):
     ec = _read(cfg["experiment"], "experiment", {
-        "levels": (lambda v: tuple(map(_count, _array(v))), (0, 1, 2)), "x0": (float, 16.0),
+        "levels": (_list_of(_count), (0, 1, 2)), "x0": (float, 16.0),
         "n_windows": (_count, 16)})
     rows, verdicts = [], {}
     xs = ec["x0"] * 2.0 ** np.arange(ec["n_windows"] + 1)
@@ -459,24 +414,40 @@ def _exp_iterated_log(cfg, out):
         vals = [growth.iterated_log(nlev, float(x)) for x in xs]
         rows += [(nlev, x, f, gt) for x, (f, gt) in zip(xs, vals)]
         verdicts[str(nlev)] = growth.window_verdict(xs, np.array([v[1] for v in vals]))[0]
-    _write_csv(out / "iterated_log.csv", ["level", "x", "f", "g_tilde"], rows)
-    _write_json(out / "iterated_log.json", {"verdicts": verdicts})
-    print(f"iterated-log: verdicts {verdicts}")
-    return 0
+    return (("iterated_log.csv", ["level", "x", "f", "g_tilde"], rows, None),
+            ("iterated_log.json", {"verdicts": verdicts}), f"verdicts {verdicts}", [])
 
 
-_EXPERIMENTS = {
-    "nil-strip": _exp_nil_strip,
-    "removable-singularity": _exp_removable,
-    "collin-krust-fit": _exp_ck_fit,
-    "sol3-wedge": _exp_sol3_wedge,
-    "e1tau-growth": _exp_e1tau,
-    "iterated-log": _exp_iterated_log,
-}
+_EXPERIMENTS = {"nil-strip": _exp_nil_strip, "removable-singularity": _exp_removable,
+                "collin-krust-fit": _exp_ck_fit, "sol3-wedge": _exp_sol3_wedge,
+                "e1tau-growth": _exp_e1tau, "iterated-log": _exp_iterated_log}
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
+_COMMANDS = {"solve": cmd_solve, "radial": cmd_radial, "growth": cmd_growth, **_EXPERIMENTS}
 
 
 # ---------------------------------------------------------------------------
+# Running a command: one rule for its files, its summary line and its exit code
+
+def _run(name: str, cfg: dict, out) -> int:
+    """Run the command ``name`` on ``cfg``, write its table and record under ``out`` (else the
+    output dir), print its summary line, and return 2 if any of its solves did not converge.
+    Nothing is written before the command returns, so a config error writes nothing."""
+    d = _read(cfg["output"], "output", {"dir": (str, ".")})["dir"]   # its keys, even under --out
+    out = Path(out or d)
+    (table, *columns), (record, obj), summary, solves = _COMMANDS[name](cfg)
+    _write_csv(out / table, *columns)
+    _write_json(out / record, obj)
+    print(f"{name}: {summary}; wrote {out / table}")
+    failed = [r for r in solves if not r.converged]
+    for r in failed:
+        print(f"{name}: NOT converged ({r.message}); residual {r.residual_norm:.3e} "
+              f"> tolerance {r.tolerance:.3e}", file=sys.stderr)
+    if failed:
+        print(f"{name}: {len(failed)} of {len(solves)} solves NOT converged; see "
+              f"{out / record}", file=sys.stderr)
+        return 2
+    return 0
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -494,11 +465,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = _load_config(args.config)
-        if args.command == "experiment":
-            return _EXPERIMENTS[args.name](cfg, _out_dir(cfg, args))
-        commands = {"solve": cmd_solve, "radial": cmd_radial, "growth": cmd_growth}
-        return commands[args.command](cfg, args)
+        return _run(args.name if args.command == "experiment" else args.command,
+                    _load_config(args.config), args.out)
     except (radial.VerticalSlopeError, growth.ChartExitError, ExprDomainError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3

@@ -375,6 +375,8 @@ def sol3_wedge_bound(theta1: float, theta2: float, rho: float) -> WedgeBound:
 def sol3_wedge_divergence(theta1: float, theta2: float, rho0: float = 1.0,
                           rho_max: float = 30.0, n: int = 4000):
     """Integrate the g' lower bound over [rho0, rho_max] and classify."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     rhos = np.linspace(rho0, rho_max, n)
     gp = np.array([sol3_wedge_bound(theta1, theta2, r).g_lower_integrand for r in rhos])
     g = _cumulative_trapezoid(gp, rhos)
@@ -425,6 +427,8 @@ def e1tau_growth(H: float, tau: float, domain_kind: str, r: float) -> E1TauSampl
 def e1tau_g(H: float, tau: float, domain_kind: str, r0: float, r_max: float,
             n: int = 4000):
     """Cumulative g over [r0, r_max] by trapezoid on a dense grid."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     rs = np.linspace(r0, r_max, n)
     gp = np.array([e1tau_growth(H, tau, domain_kind, float(r)).g_prime for r in rs])
     g = _cumulative_trapezoid(gp, rs)

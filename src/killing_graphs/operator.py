@@ -54,10 +54,16 @@ class NodeFields:
         X, Y = dom.coords()
         self.X, self.Y = X, Y
         carried = dom.carried()
+        Xc, Yc = X[carried], Y[carried]
+        outside = np.flatnonzero(~model.valid(Xc, Yc))
+        if len(outside):
+            k = outside[0]
+            raise ValueError(f"lattice node ({Xc[k]:.6g}, {Yc[k]:.6g}) lies outside the chart "
+                             f"of model {model.name!r}")
 
         def at(f):
             out = np.full((n1, n0), np.nan)
-            out[carried] = f.value(X[carried], Y[carried])
+            out[carried] = f.value(Xc, Yc)
             return out
 
         self.LAM = at(model.lam)

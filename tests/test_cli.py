@@ -865,3 +865,89 @@ def test_config_root_not_an_object_exit_1(tmp_path, capsys):
 def test_unknown_shape_exit_1(tmp_path, capsys):
     err = _config_error(tmp_path, capsys, ["solve"], _with(_SOLVE, ("domain", "shape"), "hexagon"))
     assert "'hexagon'" in err and "'shape'" in err
+
+
+# ---------------------------------------------------------------------------
+# One runner: every command writes its table and record and prints one line
+
+_EVERY_COMMAND = [
+    (["solve"], _SOLVE, "solution.csv", "report.json"),
+    (["radial"], {"radial": {"mu": "r", "c": 2.0, "r0": 1.0, "r1": 2.0, "n_samples": 5}},
+     "radial.csv", "radial.json"),
+    (["growth"], {**_GROWTH, "growth": {"r0": 1.0, "r_max": 10.0, "n_radii": 8, "n_arc": 32}},
+     "growth.csv", "growth.json"),
+    (["experiment", "nil-strip"], {"experiment": {"n_list": [2], "h": 0.25}},
+     "nil_strip.csv", "nil_strip.json"),
+    (["experiment", "removable-singularity"], {"experiment": {"case": "disk", "hs": [0.25]}},
+     "removable_singularity.csv", "removable_singularity.json"),
+    (["experiment", "collin-krust-fit"], {"experiment": {"n_radii": 20, "r_max_list": [10]}},
+     "collin_krust.csv", "collin_krust.json"),
+    (["experiment", "sol3-wedge"], {"experiment": {"n": 40}}, "sol3_wedge.csv", "sol3_wedge.json"),
+    (["experiment", "e1tau-growth"], {"experiment": {"n": 40}},
+     "e1tau_growth.csv", "e1tau_growth.json"),
+    (["experiment", "iterated-log"], {"experiment": {"levels": [0], "n_windows": 4}},
+     "iterated_log.csv", "iterated_log.json"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, table, record", _EVERY_COMMAND,
+                         ids=[c[-1] for c, *_ in _EVERY_COMMAND])
+def test_every_command_writes_its_table_and_record_and_one_summary_line(
+        tmp_path, capsys, command, cfg, table, record):
+    out = tmp_path / "out"
+    assert main(command + ["--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith(f"{command[-1]}: ") and last.endswith(f"; wrote {out / table}")
+    assert sorted(p.name for p in out.iterdir()) == sorted([table, record])
+
+
+def test_non_converged_solve_writes_both_files_and_explains_on_stderr(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = {**_SOLVE, "model": {"preset": "nil3", "params": [0.5]}, "boundary": "sin(3*x)+x*y",
+           "solver": {"max_iters": 1}}
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    outs = capsys.readouterr()
+    assert outs.out.splitlines()[-1].endswith(f"; wrote {out / 'solution.csv'}")
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False and report["stop_reason"] == "max-iters"
+    assert (out / "solution.csv").exists()
+    assert (f"solve: NOT converged ({report['message']}); residual "
+            f"{report['residual_norm']:.3e} > tolerance {report['tolerance']:.3e}") in outs.err
+    assert "1 of 1 solves NOT converged" in outs.err
+
+
+# ---------------------------------------------------------------------------
+# Lattices outside the chart, sample counts and empty lists are config errors
+
+_HALFPLANE = {"model": {"preset": "sol3-halfplane"},
+              "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.125},
+              "boundary": "0"}
+_REFUSED = [
+    # divide-by-zero warnings, then exit 2 with a non-finite residual
+    (["solve"], _HALFPLANE, "outside the chart of model 'sol3-halfplane'"),
+    # "converged in 0 iterations", though the chart excludes the domain
+    (["solve"], {**_HALFPLANE, "model": {"preset": "sol3-disk", "chart": [0, 1, 0, 1]},
+                 "domain": {"shape": "rectangle", "rect": [-0.5, 0.5, -0.5, 0.5], "h": 0.125}},
+     "outside the chart of model 'sol3-disk'"),
+    # an IndexError traceback; exit 0 with g(30) = 0
+    (["experiment", "sol3-wedge"], {"experiment": {"n": 0}}, "need n >= 2, got 0"),
+    (["experiment", "sol3-wedge"], {"experiment": {"n": 1}}, "need n >= 2, got 1"),
+    (["experiment", "e1tau-growth"], {"experiment": {"n": 0}}, "need n >= 2, got 0"),
+    (["experiment", "e1tau-growth"], {"experiment": {"n": 1}}, "need n >= 2, got 1"),
+    # exit 0 over no runs; numpy's "Mean of empty slice", then a ValueError
+    (["experiment", "nil-strip"], {"experiment": {"n_list": []}}, "'n_list'"),
+    (["experiment", "removable-singularity"], {"experiment": {"hs": []}}, "'hs'"),
+    (["experiment", "collin-krust-fit"], {"experiment": {"r_max_list": []}}, "'r_max_list'"),
+    (["experiment", "iterated-log"], {"experiment": {"levels": []}}, "'levels'"),
+    # arccosh warnings, then "fewer than 2 usable radii"
+    (["experiment", "collin-krust-fit"], {"experiment": {"c_pair": [0.5, 4]}}, "'c_pair'"),
+    (["experiment", "collin-krust-fit"], {"experiment": {"c_pair": [1, 0.5]}}, "'c_pair'"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, cfg, message", _REFUSED,
+                         ids=[f"{c[-1]}-{i}" for i, (c, _, _) in enumerate(_REFUSED)])
+def test_refused_lattice_count_or_list_exit_1(tmp_path, capsys, command, cfg, message):
+    err = _config_error(tmp_path, capsys, command, cfg)
+    assert message in err and "Traceback" not in err

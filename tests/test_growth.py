@@ -418,3 +418,13 @@ def test_window_verdict_short_range_inconclusive():
     r = np.linspace(1, 3, 50)
     verdict, _, _ = window_verdict(r, np.log(r))
     assert verdict == "inconclusive"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [0, 1])
+def test_fewer_than_two_samples_are_refused(n):
+    # n = 0 died with an IndexError in window_verdict; e1tau_g gave g = 0
+    with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
+        sol3_wedge_divergence(np.pi / 4, np.pi / 4, 1.0, 30.0, n)
+    with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
+        e1tau_g(0.5, 0.0, "bounded-width", 1.0, 30.0, n)

@@ -1,16 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from killing_graphs.experiments import disk_sin2theta_domain, sol3_exact_domain
 from killing_graphs.grids import BOUNDARY, INTERIOR, GridDomain, ScalarGrid
-from killing_graphs.models import builtin_model, gauge_change
+from killing_graphs.models import Rect, builtin_model, gauge_change
 from killing_graphs.fields import expr_field
 from killing_graphs.operator import (AssemblyCache, NodeFields, angle_function,
                                      area_element, factorization_gap,
                                      factorization_identity_rhs,
                                      generalized_gradient,
                                      mean_curvature_residual)
+from killing_graphs.solver import solve_dirichlet
 
 
 def mid_node(dom):
@@ -570,3 +573,25 @@ def test_assembly_bitwise_equal_to_reference(case):
         ref = _reference_jacobian(cache, u, frozen_W=frozen)
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(J, attr), getattr(ref, attr))
+
+
+# -- a lattice must lie in its model's chart -----------------------------------------
+
+_OUTSIDE_THE_CHART = [
+    # lambda = 1/y: the rows y <= 0 leave the half-plane
+    (builtin_model("sol3-halfplane"), GridDomain.rectangle(-1, 1, -1, 1, 0.125), (-1.0, -1.0)),
+    # a chart that excludes most of the domain
+    (builtin_model("sol3-disk", chart=Rect(0, 1, 0, 1)),
+     GridDomain.rectangle(-0.5, 0.5, -0.5, 0.5, 0.125), (-0.5, -0.5)),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model, dom, first", _OUTSIDE_THE_CHART, ids=["halfplane", "chart"])
+def test_lattice_outside_the_chart_is_refused(model, dom, first):
+    u = ScalarGrid.from_function(dom, lambda x, y: 0.0 * x)
+    message = f"lattice node ({first[0]:.6g}, {first[1]:.6g}) lies outside the chart"
+    for call in (lambda: solve_dirichlet(model, dom), lambda: mean_curvature_residual(model, u)):
+        with pytest.raises(ValueError, match=re.escape(message)) as e:
+            call()
+        assert repr(model.name) in str(e.value)
