@@ -305,7 +305,7 @@ def _exp_nil_strip(cfg):
     return (("nil_strip.csv", ["n", "K", "core_sup"], rows, None),
             ("nil_strip.json", {
                 "tau": rep.tau, "half_width": rep.width, "core_sups": sups,
-                "strictly_decreasing": all(b < a for a, b in zip(sups, sups[1:])),
+                "strictly_decreasing": experiments.decays(sups),
                 "barrier_comparison_passed": rep.barrier_ok, "note": rep.note,
                 "runs": [{"n": r.n, **_solve_record(r.report)} for r in rep.runs]}),
             f"core sups {['%.6g' % s for s in sups]}", [r.report for r in rep.runs])

@@ -49,8 +49,8 @@ def removable_singularity_experiment(model: MetricModel,
     A tight solver tolerance keeps the Newton stopping error well below the
     puncture effect being measured.  The punctured solve starts from the
     full solution, carried onto the punctured lattice, when that converged.
-    A difference is NaN when either solve of its run did not converge, and
-    ``monotone_decay`` is then false.
+    A difference is NaN when either solve of its run did not converge;
+    ``monotone_decay`` is :func:`decays` of the differences.
     """
     cfg = config or SolveConfig(tol_factor=_TOL_FACTOR)
     runs: List[PunctureRun] = []
@@ -68,10 +68,15 @@ def removable_singularity_experiment(model: MetricModel,
             diff = float(np.max(np.abs(rep_full.u.values[mask] - rep_p.u.values[mask])))
         runs.append(PunctureRun(h=h, node=node, max_difference=diff,
                                 full=rep_full, punctured=rep_p))
-    diffs = [r.max_difference for r in runs]
-    monotone = (all(np.isfinite(diffs))
-                and all(b < a for a, b in zip(diffs[:-1], diffs[1:])))
-    return RemovableSingularityReport(runs=runs, monotone_decay=monotone)
+    return RemovableSingularityReport(runs=runs,
+                                      monotone_decay=decays([r.max_difference for r in runs]))
+
+
+def decays(values) -> bool:
+    """Whether a sequence of runs shows decay: two or more values, all finite,
+    each below the one before.  One run shows none, and a NaN breaks it."""
+    v = np.asarray(values, dtype=float)
+    return bool(v.size >= 2 and np.all(np.isfinite(v)) and np.all(v[1:] < v[:-1]))
 
 
 # -- canned setups -----------------------------------------------------------

@@ -12,7 +12,9 @@ geometry.  A step h0 along axis 0 has length g * h0 (g = r on polar
 lattices, 1 on cartesian ones), g_mid is g at the midpoint of each axis-1
 edge, and each row's frame is the chart frame turned by its angle (theta,
 or 0 on cartesian lattices).  Only this module knows the topology: which
-node neighbours which (theta wraps), and how a lattice coarsens.
+node neighbours which (theta wraps), how a lattice coarsens, and the
+nested-dissection order in which a solve numbers its unknowns
+(:meth:`GridDomain.dissection`; the wrap makes its first cut two rows).
 
 Node status: INTERIOR nodes carry the PDE equation, BOUNDARY nodes carry
 Dirichlet data, EXCLUDED nodes are outside the domain, and a BRIDGE node is
@@ -260,6 +262,24 @@ class GridDomain:
         nb = np.where(inside, jj * n0 + ii, J * n0 + I)
         return nb, inside & self.carried(nb)
 
+    def dissection(self) -> np.ndarray:
+        """Every flat node index in nested-dissection order (George, SIAM J.
+        Numer. Anal. 1973): each index box is split across its longer side by
+        one lattice line, which no 3 x 3 stencil crosses, and numbered half,
+        half, line (recursively), down to boxes of ``_LEAF_NODES`` nodes in
+        raster order.  A periodic theta wraps, so its first cut is two rows."""
+        n1, n0 = self.shape
+        ids = np.arange(n1 * n0).reshape(n1, n0)
+        out: list = []
+        if self.periodic:
+            half = n1 // 2
+            _dissect(ids, 1, half, 0, n0, out)
+            _dissect(ids, half + 1, n1, 0, n0, out)
+            out += [ids[0], ids[half]]
+        else:
+            _dissect(ids, 0, n1, 0, n0, out)
+        return np.concatenate(out)
+
     def _check(self):
         st = self.status
         if not np.any(st == INTERIOR):
@@ -275,6 +295,28 @@ class GridDomain:
             j, i = (int(k) for k in bad[0])
             raise ValueError(f"degenerate mask: interior node {(j, i)} has "
                              f"{n_ok[j, i]} carried neighbors")
+
+
+_LEAF_NODES = 16            # nested dissection numbers boxes this small in raster order
+
+
+def _dissect(ids: np.ndarray, j0: int, j1: int, i0: int, i1: int, out: list) -> None:
+    """Append to ``out`` the ids of the box ``ids[j0:j1, i0:i1]`` in
+    nested-dissection order: the half before the middle line of its longer
+    side, the half after it, then that line."""
+    nj, ni = j1 - j0, i1 - i0
+    if nj * ni <= _LEAF_NODES:
+        out.append(ids[j0:j1, i0:i1].ravel())
+    elif nj >= ni:
+        m = (j0 + j1) // 2
+        _dissect(ids, j0, m, i0, i1, out)
+        _dissect(ids, m + 1, j1, i0, i1, out)
+        out.append(ids[m, i0:i1])
+    else:
+        m = (i0 + i1) // 2
+        _dissect(ids, j0, j1, i0, m, out)
+        _dissect(ids, j0, j1, m + 1, i1, out)
+        out.append(ids[j0:j1, m])
 
 
 # lattice slices of each named boundary arc

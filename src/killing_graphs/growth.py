@@ -375,6 +375,8 @@ def sol3_wedge_bound(theta1: float, theta2: float, rho: float) -> WedgeBound:
 def sol3_wedge_divergence(theta1: float, theta2: float, rho0: float = 1.0,
                           rho_max: float = 30.0, n: int = 4000):
     """Integrate the g' lower bound over [rho0, rho_max] and classify."""
+    if not rho_max > rho0:
+        raise ValueError(f"need rho_max > rho0, got rho0 = {rho0}, rho_max = {rho_max}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rhos = np.linspace(rho0, rho_max, n)
@@ -427,6 +429,8 @@ def e1tau_growth(H: float, tau: float, domain_kind: str, r: float) -> E1TauSampl
 def e1tau_g(H: float, tau: float, domain_kind: str, r0: float, r_max: float,
             n: int = 4000):
     """Cumulative g over [r0, r_max] by trapezoid on a dense grid."""
+    if not r_max > r0:
+        raise ValueError(f"need r_max > r0, got r0 = {r0}, r_max = {r_max}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rs = np.linspace(r0, r_max, n)

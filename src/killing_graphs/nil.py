@@ -119,12 +119,17 @@ def strip_uniqueness_experiment(tau: float, w: float, n_list: Sequence[float],
     """Solve the zero-data strip truncations with clamp K and report the sup
     of |u| over the core |x| <= w, plus a barrier comparison.
 
-    The truncations run through :func:`exhaustion_solve`, and the core is
-    the part of its common core with |x| <= w (NaN where that is empty).
+    ``n_list`` must increase strictly from above w: at n <= w the core
+    reaches the clamped arcs.  The truncations run through
+    :func:`exhaustion_solve`, and the core is the part of its common core
+    with |x| <= w (NaN where that is empty).
     The invariant graph shift + tau x (y + w), shifted up enough to dominate
     the clamped data, is an exact discrete solution; the comparison
     principle then bounds every run from above by it.
     """
+    if not (len(n_list) and n_list[0] > w and all(b > a for a, b in zip(n_list, n_list[1:]))):
+        raise ValueError(f"n_list must increase strictly from above the half width {w:g}, "
+                         f"got {list(n_list)}")
     model = builtin_model("nil3", (tau,),
                           chart=None)
     doms = [strip_truncation_domain(w, n, h, K) for n in n_list]

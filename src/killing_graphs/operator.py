@@ -15,11 +15,13 @@ The same edge tables drive the residual, the exact Jacobian and the
 discrete divergence-theorem check, so the three are consistent by
 construction.  One flux kernel serves the Newton residual and the Picard
 residual (area element frozen); the residual is one scatter into the
-unknown rows.  The Jacobian's CSR structure is fixed once per
-AssemblyCache: every stencil entry has a fixed CSR slot, and each slot sums
-its entries in the order ``coo_matrix.tocsr`` would.  Each call computes
-only the values and sums them into those slots, with the same bits as a
-COO-to-CSR conversion and without its sort.
+unknown rows.  The unknowns are numbered once, in the lattice's
+nested-dissection order (:meth:`GridDomain.dissection`), and the solver
+factors the Jacobian in that numbering.  The Jacobian's CSR structure is
+fixed once per AssemblyCache: every stencil entry has a fixed CSR slot, and
+each slot sums its entries in the order ``coo_matrix.tocsr`` would.  Each
+call computes only the values and sums them into those slots, with the same
+bits as a COO-to-CSR conversion and without its sort.
 """
 
 from __future__ import annotations
@@ -132,8 +134,10 @@ class AssemblyCache(NodeFields):
         self.n1, self.n0 = n1, n0
         st = dom.status
 
+        # the one numbering of the unknowns: the lattice's nested dissection
+        order = dom.dissection()
+        flat_unknown = order[dom.unknown_mask().ravel()[order]]
         self.unknown_ids = np.full(n1 * n0, -1, dtype=np.int64)
-        flat_unknown = np.nonzero(dom.unknown_mask().ravel())[0]
         self.unknown_ids[flat_unknown] = np.arange(flat_unknown.size)
         self.n_unknowns = flat_unknown.size
         self.flat_unknown = flat_unknown
@@ -183,15 +187,21 @@ class AssemblyCache(NodeFields):
         each row with ``sort_indices`` and sums runs of equal columns left
         to right.  Running the same bucketing and the same ``sort_indices``
         with entry ids as the data yields that order, so :meth:`jacobian`
-        reproduces ``tocsr``'s values bit for bit.
+        reproduces ``tocsr``'s values bit for bit.  The rows are bucketed in
+        node order, which a stable sort takes quickly, then put in place.
         """
         n = self.n_unknowns
+        # rank[k]: the place of unknown k's node in node order
+        rank = np.empty(n, dtype=np.int32)
+        rank[self.unknown_ids[self.unknown_ids >= 0]] = np.arange(n, dtype=np.int32)
+        rows = rank[rows]
         order = np.argsort(rows, kind="stable").astype(np.int32)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         S = sp.csr_matrix((order, cols[order], indptr), shape=(n, n))
         S.sort_indices()
-        ids, cols = S.data, S.indices
+        S = S[rank]
+        ids, cols, indptr = S.data, S.indices, S.indptr
         # an entry opens a slot at the start of its row or at a new column
         opens = np.ones(ids.size, dtype=bool)
         opens[1:] = cols[1:] != cols[:-1]

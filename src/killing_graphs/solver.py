@@ -14,8 +14,8 @@ The initial iterate (``SolveReport.start``) comes from one of three places:
   ``2 * _MIN_COARSE_INTERVALS`` intervals a side is first solved on the
   lattice of every other node (recursively), and that converged solution
   is transferred back by the limited cubic of :meth:`ScalarGrid.transfer`,
-  wrapped along theta: an interpolation of higher order than the
-  second-order scheme, as full-multigrid start-up needs (Trottenberg,
+  wrapped along theta: an interpolation more accurate than the O(h^2)
+  scheme, as full-multigrid start-up needs (Trottenberg,
   Oosterlee & Schüller, *Multigrid*, 2001, §2.6).  By mesh independence
   (Allgower, Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 1986) the
   fine lattice then needs a few full Newton steps and no damped phase;
@@ -40,21 +40,16 @@ is dropped whenever the iterate jumps, so the next Newton system is
 factored directly: after the Picard start, as a frozen-W LU preconditions
 a Newton system poorly, and after an accepted damped step (``0 < t < 1``),
 as the iterate has moved far from the held LU's and GMRES on it ran whole
-cycles before missing the bound.  Every factorization is SuperLU's,
-of the Jacobian with its unknowns in nested-dissection order, computed once
-per solve from the lattice itself (George, "Nested dissection of a regular
-finite element mesh", SIAM J. Numer. Anal. 1973): each index box is split
-across its longer side by one lattice line, which the 5/9-point stencil
-cannot cross, and both halves are numbered (recursively) before the line;
-boxes of at most ``_LEAF_NODES`` nodes are numbered in raster order.  On a
-periodic polar lattice the first cut takes two theta rows, 0 and n1/2, as
-the wrap joins the two ends.  The Jacobian's pattern is fixed per solve, so
-the permuted matrix is one gather of its values into a CSC pattern made
-once.  It is factored with SuperLU's ``NATURAL`` column order and its
-default pivot threshold, and every LU solve, GMRES's included, permutes its
-vector in and out.  Against multiple minimum degree on A^T + A, found anew
-at each factorization, it factors square and strip lattices about a third
-faster with about 5% less fill.  A direct solve is not refined: inexact Newton asks each step only
+cycles before missing the bound.  Every factorization is SuperLU's, of
+the Jacobian in the one numbering its :class:`AssemblyCache` gives the
+unknowns, the lattice's nested dissection (:meth:`GridDomain.dissection`;
+George, SIAM J. Numer. Anal. 1973).  SuperLU takes a matrix by columns, so
+it factors ``J.T``, the CSC view of the CSR Jacobian, which shares its
+arrays, with its ``NATURAL`` column choice and its default pivot threshold;
+every LU solve, GMRES's included, is ``solve(v, trans="T")``.  Against
+multiple minimum degree on A^T + A, found anew at each factorization, this
+factors square and strip lattices about a third faster with about 5% less
+fill.  A direct solve is not refined: inexact Newton asks each step only
 to meet a forcing bound (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
 1982), and a backward-stable LU solve meets ``_FORCING`` with room to
 spare.  GMRES ends its cycle with the residual of its solution y, which
@@ -87,7 +82,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import BOUNDARY, EXCLUDED, GridDomain, ScalarGrid, coincident_nodes
@@ -134,61 +128,14 @@ _RUNAWAY = 1e6              # max|u| past this many times its starting scale is 
 _MIN_COARSE_INTERVALS = 32  # intervals per side that a coarse lattice keeps at least
 _FORCING = 1e-6             # linear relative residual a GMRES step must reach
 _KRYLOV_MAX = 30            # GMRES iterations (one cycle) before the Jacobian is refactored
-_LEAF_NODES = 16            # nested dissection numbers boxes this small in raster order
-
-
-def _dissect(ids: np.ndarray, j0: int, j1: int, i0: int, i1: int, out: list) -> None:
-    """Append to ``out`` the lattice ids of the box ``ids[j0:j1, i0:i1]`` in
-    nested-dissection order: the half before the middle line of its longer
-    side, the half after it, then that line."""
-    nj, ni = j1 - j0, i1 - i0
-    if nj * ni <= _LEAF_NODES:
-        out.append(ids[j0:j1, i0:i1].ravel())
-    elif nj >= ni:
-        m = (j0 + j1) // 2
-        _dissect(ids, j0, m, i0, i1, out)
-        _dissect(ids, m + 1, j1, i0, i1, out)
-        out.append(ids[m, i0:i1])
-    else:
-        m = (i0 + i1) // 2
-        _dissect(ids, j0, j1, i0, m, out)
-        _dissect(ids, j0, j1, m + 1, i1, out)
-        out.append(ids[j0:j1, m])
-
-
-def _dissection_order(cache: AssemblyCache) -> np.ndarray:
-    """The unknowns of ``cache`` in nested-dissection order of its lattice
-    (module docstring): ``order[k]`` is the unknown numbered k."""
-    ids = cache.unknown_ids.reshape(cache.n1, cache.n0)
-    n1, n0 = ids.shape
-    out: list = []
-    if cache.dom.periodic:
-        # theta wraps, so the first cut takes two rows
-        half = n1 // 2
-        _dissect(ids, 1, half, 0, n0, out)
-        _dissect(ids, half + 1, n1, 0, n0, out)
-        out += [ids[0], ids[half]]
-    else:
-        _dissect(ids, 0, n1, 0, n0, out)
-    order = np.concatenate(out)
-    return order[order >= 0]
 
 
 class _LinearSolves:
-    """The linear algebra of one lattice: its nested-dissection order, the
-    LU of the last matrix factored on it (until the iterate jumps), the
-    count of factorizations and GMRES iterations, and the largest fill."""
+    """The linear algebra of one lattice: the LU of the last matrix factored
+    on it (until the iterate jumps), the count of factorizations and GMRES
+    iterations, and the largest fill."""
 
-    def __init__(self, cache: AssemblyCache):
-        self.order = p = _dissection_order(cache)
-        # the permuted matrix J[p][:, p] in CSC, made once on the Jacobian's
-        # fixed pattern with slot numbers as data: each factorization is then
-        # one gather of J.data
-        n = cache.n_unknowns
-        slots = sp.csr_matrix((np.arange(cache._jac_indices.size, dtype=np.int32),
-                               cache._jac_indices, cache._jac_indptr), shape=(n, n))[p][:, p].tocsc()
-        self._gather = slots.data
-        self._pattern = slots.indices, slots.indptr
+    def __init__(self):
         self.lu = None
         self.factorizations = 0
         self.krylov_iterations = 0
@@ -204,31 +151,17 @@ class _LinearSolves:
                 return delta
             # dropped before the new factors exist, so one LU is held at a time
             self.lu = None
-        # splu raises RuntimeError on an exactly singular factor
-        lu = spla.splu(self.permuted(J), permc_spec="NATURAL")
+        # J.T is the CSC view of the CSR Jacobian; splu raises RuntimeError
+        # on an exactly singular factor
+        lu = spla.splu(J.T, permc_spec="NATURAL")
         self.factorizations += 1
         # SuperLU's own count: reading L.nnz + U.nnz would export both factors
         self.lu_fill = max(self.lu_fill, lu.nnz)
-        delta = self._lu_solve(lu, rhs)
+        delta = lu.solve(rhs, trans="T")
         if not np.all(np.isfinite(delta)):
             raise np.linalg.LinAlgError("singular Jacobian")
         self.lu = lu
         return delta
-
-    def permuted(self, J) -> sp.csc_matrix:
-        """``J[p][:, p].tocsc()`` for p the nested-dissection order, as one
-        gather of ``J.data``; the matrix shares the solve's fixed pattern."""
-        # np.take gathers by the int32 map as it is; J.data[map] would first
-        # widen the map to int64, which doubles the time
-        A = sp.csc_matrix((np.take(J.data, self._gather), *self._pattern), shape=J.shape)
-        A.has_canonical_format = True
-        return A
-
-    def _lu_solve(self, lu, v: np.ndarray) -> np.ndarray:
-        """M^-1 v, for ``lu`` the factors of the permuted matrix."""
-        out = np.empty_like(v)
-        out[self.order] = lu.solve(v[self.order])
-        return out
 
     def _krylov(self, J, rhs) -> Optional[np.ndarray]:
         """One cycle of GMRES on J M^-1 y = rhs, delta = M^-1 y with M the held
@@ -239,7 +172,7 @@ class _LinearSolves:
         last = [None, None]     # the last (v, M^-1 v) the operator made
 
         def matvec(v):
-            w = self._lu_solve(lu, v)
+            w = lu.solve(v, trans="T")
             last[:] = v.copy(), w
             return J @ w
 
@@ -250,7 +183,7 @@ class _LinearSolves:
         self.krylov_iterations += len(residuals)
         # gmres's last matvec is the residual of y, so M^-1 y is at hand
         v, w = last
-        delta = w if np.array_equal(v, y) else self._lu_solve(lu, y)
+        delta = w if np.array_equal(v, y) else lu.solve(y, trans="T")
         if (np.all(np.isfinite(delta))
                 and np.linalg.norm(J @ delta - rhs) <= _FORCING * np.linalg.norm(rhs)):
             return delta
@@ -319,7 +252,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
     rhs = nodal_rhs(model, dom, H)
     tol = cfg.tol_factor * (1.0 + float(np.max(np.abs(rhs[dom.carried()]))))
 
-    linear = _LinearSolves(cache)
+    linear = _LinearSolves()
     message = ""
     singular_start = False
     if init is not None:
@@ -422,8 +355,8 @@ class ExhaustionReport:
 
 def _common_core(domains: Sequence[GridDomain]) -> List[np.ndarray]:
     """Flat indices, in each domain's lattice, of the nodes that every
-    domain of the family carries (see :func:`coincident_nodes`), in the
-    node order of the first domain."""
+    domain of the family carries (see :func:`coincident_nodes`), listed
+    as the first domain lists its nodes."""
     first = domains[0]
     maps = [coincident_nodes(dom, first).ravel() for dom in domains]
     keep = first.carried().ravel()

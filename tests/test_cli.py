@@ -260,6 +260,19 @@ def test_experiment_nil_strip(tmp_path):
     assert all(r["start"] == "picard" and r["coarse_iterations"] == [] for r in rep["runs"])
 
 
+def test_one_run_shows_no_decay(tmp_path):
+    # one rule for both flags: a single run shows no decay (both read true)
+    for name, experiment, record, flag in (
+            ("nil-strip", {"n_list": [2], "h": 0.25}, "nil_strip.json", "strictly_decreasing"),
+            ("removable-singularity", {"case": "disk", "hs": [0.125]},
+             "removable_singularity.json", "monotone_decay")):
+        out = tmp_path / name
+        cfg = write_cfg(tmp_path, {"experiment": experiment, "output": {"dir": str(out)}})
+        assert main(["experiment", name, "--config", cfg]) == 0
+        rep = json.loads((out / record).read_text())
+        assert len(rep["runs"]) == 1 and rep[flag] is False
+
+
 def test_experiment_nil_strip_nonconvergence_exit_2(tmp_path, monkeypatch):
     # one Newton step is too few for the clamped strip; the truncations
     # reach the solver through exhaustion_solve
@@ -386,8 +399,8 @@ def test_unknowns_count_the_bridge_node(tmp_path):
 @pytest.mark.filterwarnings("error")
 def test_experiment_removable_nonconvergence_exit_2(tmp_path):
     # H too large for the square: no graph solution, so no solve converges;
-    # on this coarse lattice the line search rejects a step of each solve
-    # before the iterate runs away
+    # on this coarse lattice the full solve's iterate runs away after a short
+    # step, and the line search rejects a step of the punctured solve
     cfg = write_cfg(tmp_path, {
         "model": {"preset": "euclidean"},
         "domain": {"shape": "rectangle", "rect": [-1, 1, -1, 1], "h": 0.25},
@@ -400,7 +413,8 @@ def test_experiment_removable_nonconvergence_exit_2(tmp_path):
     rep = json.loads((tmp_path / "out" / "removable_singularity.json").read_text())
     run, = rep["runs"]
     assert run["full_converged"] is False and run["punctured_converged"] is False
-    assert run["full_stop_reason"] == run["punctured_stop_reason"] == "stalled"
+    assert run["full_stop_reason"] == "diverged"
+    assert run["punctured_stop_reason"] == "stalled"
     # no difference is measured between solves that did not converge
     assert np.isnan(rep["differences"][0])
     assert rep["monotone_decay"] is False
@@ -942,6 +956,16 @@ _REFUSED = [
     # arccosh warnings, then "fewer than 2 usable radii"
     (["experiment", "collin-krust-fit"], {"experiment": {"c_pair": [0.5, 4]}}, "'c_pair'"),
     (["experiment", "collin-krust-fit"], {"experiment": {"c_pair": [1, 0.5]}}, "'c_pair'"),
+    # exit 0 with g_final -5.53 from a trapezoid run backwards; exit 0 "inconclusive"
+    (["experiment", "e1tau-growth"], {"experiment": {"r0": 5, "r_max": 1}},
+     "need r_max > r0, got r0 = 5.0, r_max = 1.0"),
+    (["experiment", "sol3-wedge"], {"experiment": {"rho0": 5, "rho_max": 1}},
+     "need rho_max > rho0, got rho0 = 5.0, rho_max = 1.0"),
+    # exit 0 with core_sups [5.0], the clamp itself, and strictly_decreasing true
+    (["experiment", "nil-strip"], {"experiment": {"n_list": [0.5], "h": 0.25}},
+     "n_list must increase strictly from above the half width 1, got [0.5]"),
+    (["experiment", "nil-strip"], {"experiment": {"n_list": [3, 2], "h": 0.25}},
+     "n_list must increase strictly from above the half width 1, got [3.0, 2.0]"),
 ]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from killing_graphs.experiments import (removable_singularity_experiment,
+from killing_graphs.experiments import (decays, removable_singularity_experiment,
                                         run_disk_puncture, run_sol3_puncture)
 from killing_graphs.grids import BRIDGE, GridDomain
 from killing_graphs.models import builtin_model
@@ -41,6 +41,21 @@ def test_disk_puncture_decays():
     assert rep.monotone_decay
     assert rep.runs[0].max_difference > 1e-6  # genuinely nonzero study
     assert all(r.full.converged and r.punctured.converged for r in rep.runs)
+
+
+def test_decay_needs_two_finite_decreasing_runs():
+    assert decays([2.0, 1.0]) and decays((3.0, 2.0, 1e-300))
+    for values in ([], [1.0], [float("nan")], [1.0, 1.0], [1.0, 2.0], [2.0, float("nan")]):
+        assert decays(values) is False, values
+
+
+def test_one_puncture_run_shows_no_decay():
+    # a single run compares with nothing, so monotone_decay is false; it was
+    # true over any one converged run
+    rep = run_disk_puncture(hs=(1 / 8,))
+    run, = rep.runs
+    assert run.full.converged and run.punctured.converged and run.max_difference > 0
+    assert rep.monotone_decay is False
 
 
 def test_sol3_puncture_invisible():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -421,10 +423,15 @@ def test_window_verdict_short_range_inconclusive():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n", [0, 1])
-def test_fewer_than_two_samples_are_refused(n):
-    # n = 0 died with an IndexError in window_verdict; e1tau_g gave g = 0
-    with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
-        sol3_wedge_divergence(np.pi / 4, np.pi / 4, 1.0, 30.0, n)
-    with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
-        e1tau_g(0.5, 0.0, "bounded-width", 1.0, 30.0, n)
+@pytest.mark.parametrize("n, lo, hi", [(0, 1.0, 30.0), (1, 1.0, 30.0), (40, 5.0, 1.0),
+                                       (40, 1.0, 1.0)], ids=["0", "1", "decreasing", "empty"])
+def test_fewer_than_two_samples_are_refused(n, lo, hi):
+    # n = 0 died with an IndexError in window_verdict; e1tau_g gave g = 0;
+    # over [5, 1] sol3_wedge_divergence said "inconclusive" and e1tau_g g < 0
+    wedge, e1tau = ((f"need n >= 2, got {n}",) * 2 if n < 2 else
+                    (f"need rho_max > rho0, got rho0 = {lo}, rho_max = {hi}",
+                     f"need r_max > r0, got r0 = {lo}, r_max = {hi}"))
+    with pytest.raises(ValueError, match=re.escape(wedge)):
+        sol3_wedge_divergence(np.pi / 4, np.pi / 4, lo, hi, n)
+    with pytest.raises(ValueError, match=re.escape(e1tau)):
+        e1tau_g(0.5, 0.0, "bounded-width", lo, hi, n)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,16 @@ def test_strip_decay_and_barrier():
     sups = [r.core_sup for r in rep.runs]
     assert all(b < a for a, b in zip(sups, sups[1:]))
     assert rep.barrier_ok
+
+
+@pytest.mark.parametrize("n_list", [[0.5], [1.0, 2.0], [3.0, 2.0], [2.0, 2.0], []],
+                         ids=["inside", "at-w", "decreasing", "repeated", "empty"])
+def test_strip_n_list_must_increase_from_above_the_half_width(n_list):
+    # n_list [0.5] reported core_sup 5.0, the clamp K itself: at n <= w the
+    # core reaches the clamped arcs
+    message = f"n_list must increase strictly from above the half width 1, got {n_list}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        strip_uniqueness_experiment(TAU, 1.0, n_list, K=5.0, h=0.25)
 
 
 def test_strip_domain_corner_averaging():

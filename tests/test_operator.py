@@ -575,6 +575,53 @@ def test_assembly_bitwise_equal_to_reference(case):
             assert np.array_equal(getattr(J, attr), getattr(ref, attr))
 
 
+def _by_node(cache, F, J):
+    """The residual sorted by node; and, sorted by node pair, the Jacobian's
+    row and column nodes, its values, and the stencil entries each value
+    sums, in the order the cache sums them."""
+    nodes = cache.flat_unknown
+    summands = [[i] for i in cache._slot_first.tolist()]
+    for slots, ids in cache._slot_rest:
+        for slot, i in zip(slots.tolist(), ids.tolist()):
+            summands[slot].append(i)
+    rows = nodes[np.repeat(np.arange(cache.n_unknowns), np.diff(J.indptr))]
+    cols = nodes[J.indices]
+    k = np.lexsort((cols, rows))
+    return F[np.argsort(nodes)], rows[k], cols[k], J.data[k], [tuple(summands[i]) for i in k]
+
+
+@pytest.mark.parametrize("case", _assembly_cases(), ids=lambda c: c[0])
+def test_renumbering_moves_each_entry_with_its_summands(monkeypatch, case):
+    # the cache's nested-dissection numbering against raster numbering: every
+    # residual entry moves to the row of its node with its bits, and every
+    # Jacobian entry to the row and column of its nodes, as the sum of the
+    # same stencil entries.  A slot sums them in the order scipy's
+    # sort_indices leaves them, which breaks ties between equal columns
+    # by the column numbers around them, so a slot of three or more entries
+    # may sum them in another order: its bits then agree to rounding
+    _, model, dom, u = case
+    cache = AssemblyCache(model, dom)
+    with monkeypatch.context() as m:
+        m.setattr(GridDomain, "dissection", lambda self: np.arange(self.status.size))
+        raster = AssemblyCache(model, dom)
+    np.testing.assert_array_equal(raster.flat_unknown, np.flatnonzero(dom.unknown_mask()))
+    assert not np.array_equal(cache.flat_unknown, raster.flat_unknown)
+    rhs = np.where(dom.carried(), 0.3, 0.0)
+    for frozen in (None, cache.frozen_W(u)):
+        (F, rows, cols, vals, sums), (Fr, rows_r, cols_r, vals_r, sums_r) = (
+            _by_node(c, c.residual(u, rhs, frozen_W=frozen), c.jacobian(u, frozen_W=frozen))
+            for c in (cache, raster))
+        assert np.array_equal(F.view(np.int64), Fr.view(np.int64))
+        assert np.array_equal(rows, rows_r) and np.array_equal(cols, cols_r)
+        assert [sorted(a) for a in sums] == [sorted(b) for b in sums_r]
+        # two entries sum to the same bits in either order
+        same = np.array([a == b or len(a) <= 2 for a, b in zip(sums, sums_r)])
+        assert same.mean() > 0.5
+        assert np.array_equal(vals[same].view(np.int64), vals_r[same].view(np.int64))
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(vals - vals_r)) <= 4 * eps * np.max(np.abs(vals))
+
+
 # -- a lattice must lie in its model's chart -----------------------------------------
 
 _OUTSIDE_THE_CHART = [
