@@ -17,11 +17,18 @@ construction.  One flux kernel serves the Newton residual and the Picard
 residual (area element frozen); the residual is one scatter into the
 unknown rows.  The unknowns are numbered once, in the lattice's
 nested-dissection order (:meth:`GridDomain.dissection`), and the solver
-factors the Jacobian in that numbering.  The Jacobian's CSR structure is
-fixed once per AssemblyCache: every stencil entry has a fixed CSR slot, and
-each slot sums its entries in the order ``coo_matrix.tocsr`` would.  Each
-call computes only the values and sums them into those slots, with the same
-bits as a COO-to-CSR conversion and without its sort.
+factors the Jacobian in that numbering.
+
+The Jacobian's CSR structure is read off the stencil once per
+AssemblyCache.  A Jacobian entry is a place in one product buffer: each edge
+family's (6, 2, m) block of flux derivatives (by stencil node B, A and the
+four tangential nodes) times the coefficients of the edge's two rows, then
+the bridge constants.  Each unknown row lists at most 27 entries in a fixed
+order (family, stencil node, side; then a bridge row's three), and scipy's
+``sort_indices`` over those lists gives every entry its CSR slot and each
+slot the order in which ``coo_matrix.tocsr`` would sum its entries.  Each
+call fills the product buffer and sums it into the slots, with the same bits
+as a COO-to-CSR conversion and without its sorts.
 """
 
 from __future__ import annotations
@@ -117,8 +124,6 @@ class _EdgeFamily:
     rowA: np.ndarray       # unknown row of A (-1 when not a PDE row)
     rowB: np.ndarray
     htrans: np.ndarray     # transverse length for boundary-flux bookkeeping
-    jac_mask: Optional[np.ndarray] = None   # (6, 2, m) Jacobian entries kept:
-                                            # stencil node x side x edge
 
 
 class AssemblyCache(NodeFields):
@@ -162,46 +167,57 @@ class AssemblyCache(NodeFields):
         scatter = np.concatenate([r for fam in self.families for r in (fam.rowA, fam.rowB)])
         self._scatter_rows = np.where(scatter >= 0, scatter, self.n_unknowns)
 
-        # the Jacobian pattern, in the order the values are produced per call
-        bcols = self.unknown_ids[bridge]
-        bkeep = bcols >= 0
-        self._bridge_vals = np.broadcast_to([1.0, -0.5, -0.5], bridge.shape)[bkeep]
-        jrows, jcols = [], []
-        for fam in self.families:
-            # each edge flux depends on B, A, then the tangential form's nodes
-            cols = self.unknown_ids[np.concatenate([fam.B[None], fam.A[None], fam.t_ids.T])]
-            rows = np.stack([fam.rowA, fam.rowB])
-            fam.jac_mask = (rows >= 0) & (cols >= 0)[:, None, :]
-            jrows.append(np.broadcast_to(rows, fam.jac_mask.shape)[fam.jac_mask])
-            jcols.append(np.broadcast_to(cols[:, None, :], fam.jac_mask.shape)[fam.jac_mask])
-        jrows.append(np.broadcast_to(self.bridge_rows[:, None], bridge.shape)[bkeep])
-        jcols.append(bcols[bkeep])
-        self._capture_slots(np.concatenate(jrows).astype(np.int32),
-                            np.concatenate(jcols).astype(np.int32))
+        # an entry of the Jacobian is a place in one product buffer: each
+        # family's (6, 2, m) block (stencil node B, A, then the tangential
+        # form's four; side A row, side B row; edge), then the bridge constants
+        self._blocks = np.cumsum([0] + [12 * fam.A.size for fam in self.families])
+        self._bridge_vals = np.tile([1.0, -0.5, -0.5], len(bridge))
+        self._capture_slots()
 
-    def _capture_slots(self, rows: np.ndarray, cols: np.ndarray) -> None:
+    def _capture_slots(self) -> None:
         """Fix the CSR slot of every Jacobian entry and the order in which
-        ``coo_matrix.tocsr`` sums each slot's entries.
+        ``coo_matrix.tocsr`` would sum each slot's entries.
 
-        ``tocsr`` buckets the entries by row (a stable counting sort), sorts
-        each row with ``sort_indices`` and sums runs of equal columns left
-        to right.  Running the same bucketing and the same ``sort_indices``
-        with entry ids as the data yields that order, so :meth:`jacobian`
-        reproduces ``tocsr``'s values bit for bit.  The rows are bucketed in
-        node order, which a stable sort takes quickly, then put in place.
+        ``tocsr`` buckets the entries by row in the order of the product
+        buffer, sorts each row with ``sort_indices`` and sums runs of equal
+        columns left to right.  So a row lists its family entries family by
+        family, stencil node by stencil node, side A before side B (one edge
+        per side: the edge with the row's node at that end), then a bridge
+        row's p, q1 and q2.  That table of at most 27 entries per row is read
+        off the stencil; the same ``sort_indices`` over its entry ids then
+        yields ``tocsr``'s order, so :meth:`jacobian` reproduces its values
+        bit for bit.
         """
         n = self.n_unknowns
-        # rank[k]: the place of unknown k's node in node order
-        rank = np.empty(n, dtype=np.int32)
-        rank[self.unknown_ids[self.unknown_ids >= 0]] = np.arange(n, dtype=np.int32)
-        rows = rank[rows]
-        order = np.argsort(rows, kind="stable").astype(np.int32)
+        # one table row per place in a Jacobian row, one column per unknown
+        places = 12 * len(self.families) + 3
+        ids = np.empty((places, n), dtype=np.int32)
+        cols = np.empty((places, n), dtype=np.int32)
+        unknown = self.unknown_ids.astype(np.int32)
+        for f, (fam, start) in enumerate(zip(self.families, self._blocks.tolist())):
+            m = fam.A.size
+            # the edge whose A end, and whose B end, is the row's node (m: none);
+            # the rows -1 of nodes that are not PDE rows land in a spare slot n
+            e = np.full((2, n + 1), m, dtype=np.int32)
+            e[0, fam.rowA] = e[1, fam.rowB] = np.arange(m, dtype=np.int32)
+            e = e[:, :n]
+            # each edge's stencil columns, and none past the last edge
+            stencil = np.full((6, m + 1), -1, dtype=np.int32)
+            for s, nodes in enumerate((fam.B, fam.A, *fam.t_ids.T)):
+                np.take(unknown, nodes, out=stencil[s, :m])
+            np.take(stencil, e, axis=1, out=cols[12 * f:12 * f + 12].reshape(6, 2, n))
+            np.add(e, (start + m * np.arange(12, dtype=np.int32)).reshape(6, 2, 1),
+                   out=ids[12 * f:12 * f + 12].reshape(6, 2, n))
+        cols[-3:] = -1
+        cols[-3:, self.bridge_rows] = self.unknown_ids[self.bridge_nodes].T
+        ids[-3:, self.bridge_rows] = (self._blocks[-1]
+                                      + np.arange(self._bridge_vals.size).reshape(-1, 3)).T
+        keep = cols.T >= 0
         indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        S = sp.csr_matrix((order, cols[order], indptr), shape=(n, n))
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        S = sp.csr_matrix((ids.T[keep], cols.T[keep], indptr), shape=(n, n))
         S.sort_indices()
-        S = S[rank]
-        ids, cols, indptr = S.data, S.indices, S.indptr
+        ids, cols = S.data, S.indices
         # an entry opens a slot at the start of its row or at a new column
         opens = np.ones(ids.size, dtype=bool)
         opens[1:] = cols[1:] != cols[:-1]
@@ -327,28 +343,34 @@ class AssemblyCache(NodeFields):
         coef * G1 / W_frozen: the Picard operator.
         """
         u_flat = u_grid.ravel()
-        vals = []
-        for fam, Wf in zip(self.families, frozen_W or (None, None)):
-            if Wf is not None:
-                dF_dG1 = fam.coef / Wf
-                dF_dG2 = np.zeros_like(dF_dG1)
-            else:
-                G1, G2, W, _ = self._edge_state(fam, u_flat)
-                dF_dG1 = fam.coef * (W * W - fam.mu2 * G1 * G1) / W ** 3
-                dF_dG2 = -fam.coef * fam.mu2 * G1 * G2 / W ** 3
-            dn = dF_dG1 / (fam.len_n * fam.lam)
-            dv = np.concatenate([dn[None], -dn[None], dF_dG2 * fam.t_w.T / fam.lam])
-            vals.append(np.stack([dv * fam.cA, -dv * fam.cB], axis=1)[fam.jac_mask])
-        vals.append(self._bridge_vals)
-        vals = np.concatenate(vals)
+        vals = np.empty(self._blocks[-1] + self._bridge_vals.size)
+        for fam, start, Wf in zip(self.families, self._blocks, frozen_W or (None, None)):
+            self._products(fam, u_flat, Wf, vals[start:start + 12 * fam.A.size].reshape(6, 2, -1))
+        vals[self._blocks[-1]:] = self._bridge_vals
         data = vals[self._slot_first]
         for slots, ids in self._slot_rest:
-            data[slots] += vals[ids]
+            # slots are distinct within a level: data[slots] += vals[ids], in place
+            np.add.at(data, slots, vals[ids])
         # each matrix owns its structure, so in-place edits leave the cache intact
         J = sp.csr_matrix((data, self._jac_indices.copy(), self._jac_indptr.copy()),
                           shape=(self.n_unknowns, self.n_unknowns))
         J.has_canonical_format = True
         return J
+
+    def _products(self, fam: _EdgeFamily, u_flat: np.ndarray, Wf, block: np.ndarray) -> None:
+        """The flux's derivative by each stencil node, times the side A and
+        side B rows' coefficients, into the family's (6, 2, m) ``block``."""
+        if Wf is not None:
+            dF_dG1 = fam.coef / Wf
+            dF_dG2 = np.zeros_like(dF_dG1)
+        else:
+            G1, G2, W, _ = self._edge_state(fam, u_flat)
+            dF_dG1 = fam.coef * (W * W - fam.mu2 * G1 * G1) / W ** 3
+            dF_dG2 = -fam.coef * fam.mu2 * G1 * G2 / W ** 3
+        dn = dF_dG1 / (fam.len_n * fam.lam)
+        sides = np.stack([fam.cA, -fam.cB])
+        for k, dv in enumerate((dn, -dn, *(dF_dG2 * w / fam.lam for w in fam.t_w.T))):
+            np.multiply(dv, sides, out=block[k])
 
     def frozen_W(self, u_grid: np.ndarray) -> list:
         u_flat = u_grid.ravel()

@@ -296,7 +296,9 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
         except _SINGULAR:
             stop_reason, message = "singular", "singular Jacobian"
             break
-        floor = _EPS * float(np.max(abs(J) @ np.abs(vec)))
+        # |J| on J's own structure: abs(J) would copy its indices too
+        absJ = type(J)((np.abs(J.data), J.indices, J.indptr), shape=J.shape)
+        floor = _EPS * float(np.max(absJ @ np.abs(vec)))
         if fnorm <= floor and np.max(np.abs(J @ delta)) <= floor:
             stop_reason = "rounding-floor"
             message = f"residual at its rounding floor {floor:.3e}"

@@ -305,8 +305,9 @@ def test_vertical_translation_invariance_bitwise():
 
 def _assembly_cases():
     """(name, model, domain, u) on a cartesian rectangle, a punctured masked
-    disk (one bridge row), a periodic annulus and a punctured sol3 rectangle
-    (one bridge row, non-constant lambda)."""
+    disk (one bridge row), a periodic annulus, a punctured sol3 rectangle
+    (one bridge row, non-constant lambda) and a 2:1 strip clamped on its
+    short arcs, which the dissection cuts across its long side first."""
     nil = builtin_model("nil3", (0.5,))
     sol3 = builtin_model("sol3-halfplane")
     rect = GridDomain.rectangle(-1, 1, -1, 1, 1 / 8,
@@ -316,10 +317,13 @@ def _assembly_cases():
     ann = GridDomain.annulus(1.0, 2.0, 6, 16, inner=lambda x, y: x, outer=0.3)
     strip = sol3_exact_domain(1 / 4)
     strip = strip.with_puncture(strip.nearest_node((0.0, 2.0)))
+    clamped = GridDomain.rectangle(-2, 2, -1, 1, 1 / 8,
+                                   boundary={"left": 5.0, "right": 5.0, "bottom": 0.0, "top": 0.0})
     rng = np.random.default_rng(2)
     out = []
     for name, model, dom in (("rectangle", nil, rect), ("punctured-disk", nil, disk),
-                             ("annulus", nil, ann), ("punctured-sol3", sol3, strip)):
+                             ("annulus", nil, ann), ("punctured-sol3", sol3, strip),
+                             ("clamped-strip", nil, clamped)):
         X, Y = dom.coords()
         u = np.sin(2 * X) + 0.5 * X * Y + 0.1 * rng.uniform(-1, 1, dom.shape)
         u = np.where(dom.status == BOUNDARY, dom.bdata, u)
@@ -369,6 +373,24 @@ def test_jacobian_assembly_makes_no_coo_conversion(monkeypatch):
         K = cache.jacobian(u, frozen_W=frozen)
         assert isinstance(K, sp.csr_matrix) and K.shape == J.shape
         assert np.array_equal(K.data, J.data)
+
+
+@pytest.mark.parametrize("case", _assembly_cases(), ids=lambda c: c[0])
+def test_cache_build_sorts_no_entries(monkeypatch, case):
+    # the CSR slots are read off the stencil, so building a cache argsorts
+    # no entries and gathers no CSR rows
+    _, model, dom, u = case
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    monkeypatch.setattr(np, "argsort", refuse("np.argsort"))
+    monkeypatch.setattr(sp.csr_matrix, "__getitem__", refuse("csr_matrix.__getitem__"))
+    cache = AssemblyCache(model, dom)
+    J = cache.jacobian(u)
+    assert J.shape == (cache.n_unknowns, cache.n_unknowns) and J.has_sorted_indices
 
 
 # Reference assembly, one node or one stencil entry at a time: a per-node
