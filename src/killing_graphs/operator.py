@@ -359,7 +359,9 @@ class AssemblyCache(NodeFields):
 
     def _products(self, fam: _EdgeFamily, u_flat: np.ndarray, Wf, block: np.ndarray) -> None:
         """The flux's derivative by each stencil node, times the side A and
-        side B rows' coefficients, into the family's (6, 2, m) ``block``."""
+        side B rows' coefficients, into the family's (6, 2, m) ``block``
+        (a method of its own, so its temporaries are freed before the
+        Jacobian's slots are summed)."""
         if Wf is not None:
             dF_dG1 = fam.coef / Wf
             dF_dG2 = np.zeros_like(dF_dG1)
