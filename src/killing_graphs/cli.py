@@ -229,8 +229,8 @@ def _solve_record(rep: SolveReport, prefix: str = "") -> dict:
     solve beside its own keys."""
     record = {k: getattr(rep, k) for k in (
         "converged", "stop_reason", "start", "iterations", "coarse_iterations", "residual_norm",
-        "tolerance", "factorizations", "krylov_iterations", "lu_fill", "damping_history",
-        "message")}
+        "tolerance", "factorizations", "krylov_iterations", "lu_fill", "lu_fallbacks",
+        "damping_history", "message")}
     record["runtime_seconds"] = rep.runtime
     record["unknowns"] = int(np.sum(rep.u.domain.unknown_mask()))
     return {prefix + k: v for k, v in record.items()}

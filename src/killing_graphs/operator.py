@@ -139,10 +139,11 @@ class AssemblyCache(NodeFields):
         self.n1, self.n0 = n1, n0
         st = dom.status
 
-        # the one numbering of the unknowns: the lattice's nested dissection
+        # the one numbering of the unknowns: the lattice's nested dissection;
+        # every index table of the cache is int32
         order = dom.dissection()
-        flat_unknown = order[dom.unknown_mask().ravel()[order]]
-        self.unknown_ids = np.full(n1 * n0, -1, dtype=np.int64)
+        flat_unknown = order[dom.unknown_mask().ravel()[order]].astype(np.int32)
+        self.unknown_ids = np.full(n1 * n0, -1, dtype=np.int32)
         self.unknown_ids[flat_unknown] = np.arange(flat_unknown.size)
         self.n_unknowns = flat_unknown.size
         self.flat_unknown = flat_unknown
@@ -158,7 +159,7 @@ class AssemblyCache(NodeFields):
 
         # bridge rows u_p - (u_q1 + u_q2) / 2, as (nb, 3) node arrays [p, q1, q2]
         bridge = np.array([[j * n0 + i for j, i in (p, *pair)]
-                           for p, pair in dom.bridges.items()], dtype=np.int64).reshape(-1, 3)
+                           for p, pair in dom.bridges.items()], dtype=np.int32).reshape(-1, 3)
         self.bridge_nodes = bridge
         self.bridge_rows = self.unknown_ids[bridge[:, 0]]
 
@@ -193,7 +194,6 @@ class AssemblyCache(NodeFields):
         places = 12 * len(self.families) + 3
         ids = np.empty((places, n), dtype=np.int32)
         cols = np.empty((places, n), dtype=np.int32)
-        unknown = self.unknown_ids.astype(np.int32)
         for f, (fam, start) in enumerate(zip(self.families, self._blocks.tolist())):
             m = fam.A.size
             # the edge whose A end, and whose B end, is the row's node (m: none);
@@ -204,7 +204,7 @@ class AssemblyCache(NodeFields):
             # each edge's stencil columns, and none past the last edge
             stencil = np.full((6, m + 1), -1, dtype=np.int32)
             for s, nodes in enumerate((fam.B, fam.A, *fam.t_ids.T)):
-                np.take(unknown, nodes, out=stencil[s, :m])
+                np.take(self.unknown_ids, nodes, out=stencil[s, :m])
             np.take(stencil, e, axis=1, out=cols[12 * f:12 * f + 12].reshape(6, 2, n))
             np.add(e, (start + m * np.arange(12, dtype=np.int32)).reshape(6, 2, 1),
                    out=ids[12 * f:12 * f + 12].reshape(6, 2, n))
@@ -225,13 +225,17 @@ class AssemblyCache(NodeFields):
         starts = np.flatnonzero(opens).astype(np.int32)
         self._jac_indices = cols[starts]
         self._jac_indptr = np.searchsorted(starts, indptr).astype(np.int32)
-        # the k-th summand of every slot with more than k entries
+        # the k-th summand of every slot with more than k entries; slots None
+        # where every slot has one
         counts = np.diff(np.append(starts, ids.size))
         self._slot_first = ids[starts]
         self._slot_rest = []
         for k in range(1, int(counts.max(initial=1))):
             slots = np.flatnonzero(counts > k).astype(np.int32)
-            self._slot_rest.append((slots, ids[starts[slots] + k]))
+            if slots.size == starts.size:
+                self._slot_rest.append((None, ids[starts + k]))
+            else:
+                self._slot_rest.append((slots, ids[starts[slots] + k]))
 
     # -- per-node directional slope forms -----------------------------------
 
@@ -245,7 +249,8 @@ class AssemblyCache(NodeFields):
         here = np.arange(self.n1 * self.n0).reshape(self.n1, self.n0)
         nb_p, ok_p = dom.neighbors(axis, 1)
         nb_m, ok_m = dom.neighbors(axis, -1)
-        ids = np.stack([np.where(ok_p, nb_p, here), np.where(ok_m, nb_m, here)], axis=-1)
+        ids = np.stack([np.where(ok_p, nb_p, here), np.where(ok_m, nb_m, here)],
+                       axis=-1).astype(np.int32)
         w = np.where(ok_p & ok_m, 0.5, np.where(ok_p | ok_m, 1.0, 0.0)) / d
         return ids, np.stack([w, -w], axis=-1)
 
@@ -260,8 +265,8 @@ class AssemblyCache(NodeFields):
         # along ``axis``, one of the two interior; in ascending flat index of A
         nb, ok = (a.ravel() for a in dom.neighbors(axis, 1))
         inner = dom.interior_mask().ravel()
-        Af = np.flatnonzero(ok & dom.carried().ravel() & (inner | inner[nb]))
-        Bf = nb[Af]
+        Af = np.flatnonzero(ok & dom.carried().ravel() & (inner | inner[nb])).astype(np.int32)
+        Bf = nb[Af].astype(np.int32)
         stA, stB = sflat[Af], sflat[Bf]
 
         avg = lambda arr: 0.5 * (arr.ravel()[Af] + arr.ravel()[Bf])
@@ -349,8 +354,11 @@ class AssemblyCache(NodeFields):
         vals[self._blocks[-1]:] = self._bridge_vals
         data = vals[self._slot_first]
         for slots, ids in self._slot_rest:
-            # slots are distinct within a level: data[slots] += vals[ids], in place
-            np.add.at(data, slots, vals[ids])
+            if slots is None:
+                data += vals[ids]
+            else:
+                # slots are distinct within a level: data[slots] += vals[ids], in place
+                np.add.at(data, slots, vals[ids])
         # each matrix owns its structure, so in-place edits leave the cache intact
         J = sp.csr_matrix((data, self._jac_indices.copy(), self._jac_indptr.copy()),
                           shape=(self.n_unknowns, self.n_unknowns))

@@ -44,16 +44,28 @@ cycles before missing the bound.  Every factorization is SuperLU's, of
 the Jacobian in the one numbering its :class:`AssemblyCache` gives the
 unknowns, the lattice's nested dissection (:meth:`GridDomain.dissection`;
 George, SIAM J. Numer. Anal. 1973).  SuperLU takes a matrix by columns, so
-it factors ``J.T``, the CSC view of the CSR Jacobian, which shares its
-arrays, with its ``NATURAL`` column choice and its default pivot threshold;
-every LU solve, GMRES's included, is ``solve(v, trans="T")``.  Against
-multiple minimum degree on A^T + A, found anew at each factorization, this
-factors square and strip lattices about a third faster with about 5% less
-fill.  A direct solve is not refined: inexact Newton asks each step only
-to meet a forcing bound (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
-1982), and a backward-stable LU solve meets ``_FORCING`` with room to
-spare.  GMRES ends its cycle with the residual of its solution y, which
-applies the LU to y; that M^-1 y is kept and is the step.
+it factors the CSC view of the CSR Jacobian, the structure of ``J.T`` on
+J's own index arrays, with its ``NATURAL`` column choice and its default
+pivot threshold; every LU solve, GMRES's included, is ``solve(v,
+trans="T")``.  Against multiple minimum degree on A^T + A, found anew at
+each factorization, this factors square and strip lattices about a third
+faster with about 5% less fill.
+
+The factorization is in single precision: only J's values are copied, cast
+to float32, so the LU's values take half the bytes, with the same fill.  A direct
+solve is one float32 solve and ``_REFINEMENTS`` steps of iterative
+refinement, each r = rhs - J delta in double and then delta += M^-1 r
+(Langou et al., SC 2006; Carson & Higham, SIAM J. Sci. Comput. 2018).
+Inexact Newton asks each step only to meet the forcing bound ``_FORCING``
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982): the first step
+meets it, and the second brings the residual down to a float64 LU solve's.
+Where the refined residual misses ``_FORCING`` (J too ill-conditioned for
+float32), J.T is factored in float64 and solved the same way, that LU is
+held instead, and ``lu_fallbacks`` counts it.  A GMRES step is the
+combination of the M^-1 v_k that GMRES's solution y is of its basis vectors
+v_k, as in flexible GMRES (Saad, SIAM J. Sci. Comput. 1993), so its
+residual is the one GMRES reached; M^-1 y itself would add the rounding of
+one more float32 solve, and GMRES would stall near 1e-5.
 
 The solve stops, with ``converged=True``, on either of two rules:
 
@@ -116,6 +128,7 @@ class SolveReport:
     factorizations: int = 0    # LU factorizations on this lattice, the Picard start's included
     krylov_iterations: int = 0  # GMRES iterations on this lattice
     lu_fill: int = 0           # most entries of L and U stored by one factorization on this lattice
+    lu_fallbacks: int = 0      # float64 factorizations after a float32 step missed the forcing bound
 
 
 # what a singular or non-finite linear system raises
@@ -126,68 +139,100 @@ _ARMIJO = 1e-4              # sufficient decrease of |F|^2 in the line search
 _MIN_STEP = 2.0 ** -20      # the line search rejects the step below this t
 _RUNAWAY = 1e6              # max|u| past this many times its starting scale is divergence
 _MIN_COARSE_INTERVALS = 32  # intervals per side that a coarse lattice keeps at least
-_FORCING = 1e-6             # linear relative residual a GMRES step must reach
+_FORCING = 1e-6             # linear relative residual every step must reach
 _KRYLOV_MAX = 30            # GMRES iterations (one cycle) before the Jacobian is refactored
+_REFINEMENTS = 2            # refinement steps of a direct solve, in float64, on its LU
 
 
 class _LinearSolves:
     """The linear algebra of one lattice: the LU of the last matrix factored
-    on it (until the iterate jumps), the count of factorizations and GMRES
-    iterations, and the largest fill."""
+    on it (until the iterate jumps) and its precision, the count of
+    factorizations, float64 fallbacks and GMRES iterations, and the largest
+    fill."""
 
     def __init__(self):
         self.lu = None
+        self.lu_dtype = np.float32
         self.factorizations = 0
+        self.lu_fallbacks = 0
         self.krylov_iterations = 0
         self.lu_fill = 0
 
     def solve(self, J, rhs) -> np.ndarray:
         """delta with J delta = rhs: one GMRES cycle on the held LU; when no
-        LU is held, or GMRES misses the forcing bound, J is factored and
-        solved directly, and its LU is held."""
+        LU is held, or GMRES misses the forcing bound, J is factored in
+        float32 and solved directly with its refinement steps, or in float64
+        when those miss the bound; the last LU made is held."""
         if self.lu is not None:
             delta = self._krylov(J, rhs)
             if delta is not None:
                 return delta
             # dropped before the new factors exist, so one LU is held at a time
             self.lu = None
-        # J.T is the CSC view of the CSR Jacobian; splu raises RuntimeError
-        # on an exactly singular factor
-        lu = spla.splu(J.T, permc_spec="NATURAL")
-        self.factorizations += 1
-        # SuperLU's own count: reading L.nnz + U.nnz would export both factors
-        self.lu_fill = max(self.lu_fill, lu.nnz)
-        delta = lu.solve(rhs, trans="T")
+        # first J's own index arrays with its values cast to float32, the CSC
+        # view of the CSR Jacobian that J.T is; then J.T itself
+        for dtype in (np.float32, np.float64):
+            A = J.T if dtype is np.float64 else type(J.T)(
+                (J.data.astype(dtype), J.indices, J.indptr), shape=J.shape)
+            # splu raises RuntimeError on an exactly singular factor
+            lu = spla.splu(A, permc_spec="NATURAL")
+            self.factorizations += 1
+            # SuperLU's own count: reading L.nnz + U.nnz would export both factors
+            self.lu_fill = max(self.lu_fill, lu.nnz)
+            self.lu, self.lu_dtype = lu, dtype
+            # one solve, then the refinement steps
+            delta, res = np.zeros(J.shape[0]), rhs
+            for _ in range(1 + _REFINEMENTS):
+                delta += _lu_solve(lu, res, dtype)
+                res = rhs - J @ delta
+            if _meets_forcing(res, rhs):
+                return delta
+            if dtype is np.float32:
+                self.lu_fallbacks += 1
+                self.lu = lu = None
         if not np.all(np.isfinite(delta)):
             raise np.linalg.LinAlgError("singular Jacobian")
-        self.lu = lu
         return delta
 
     def _krylov(self, J, rhs) -> Optional[np.ndarray]:
-        """One cycle of GMRES on J M^-1 y = rhs, delta = M^-1 y with M the held
-        LU, so that GMRES minimises the true residual; None unless delta is
-        finite and meets the forcing bound.  gmres's ``info`` is not read:
-        the bound is checked on the recomputed residual."""
-        lu = self.lu
-        last = [None, None]     # the last (v, M^-1 v) the operator made
+        """One cycle of GMRES on J M^-1 y = rhs, with M the held LU; None
+        unless the step meets the forcing bound.  The step is the combination
+        of the M^-1 v_k that y is of GMRES's orthonormal basis v_k, so its
+        residual is the one GMRES minimised, as in flexible GMRES (Saad, SIAM
+        J. Sci. Comput. 1993); M^-1 y would add the rounding of one more
+        single-precision solve.  gmres's ``info`` is not read: the bound is
+        checked on the recomputed residual."""
+        lu, dtype = self.lu, self.lu_dtype
+        basis, images = [], []      # each v the operator is given, and M^-1 v
 
         def matvec(v):
-            w = lu.solve(v, trans="T")
-            last[:] = v.copy(), w
+            w = _lu_solve(lu, v, dtype)
+            basis.append(v.copy())
+            images.append(w)
             return J @ w
 
         op = spla.LinearOperator(J.shape, matvec=matvec, dtype=float)
         residuals = []      # one per GMRES iteration
         y, _ = spla.gmres(op, rhs, rtol=_FORCING, restart=_KRYLOV_MAX, maxiter=1,
                           callback=residuals.append, callback_type="pr_norm")
-        self.krylov_iterations += len(residuals)
-        # gmres's last matvec is the residual of y, so M^-1 y is at hand
-        v, w = last
-        delta = w if np.array_equal(v, y) else lu.solve(y, trans="T")
-        if (np.all(np.isfinite(delta))
-                and np.linalg.norm(J @ delta - rhs) <= _FORCING * np.linalg.norm(rhs)):
-            return delta
-        return None
+        k = len(residuals)
+        self.krylov_iterations += k
+        # the first k vectors are the basis; the last is y, whose residual
+        # gmres computes
+        coeffs = np.array(basis[:k]).reshape(k, rhs.size) @ y
+        delta = coeffs @ np.array(images[:k]).reshape(k, rhs.size)
+        return delta if _meets_forcing(rhs - J @ delta, rhs) else None
+
+
+def _lu_solve(lu, v, dtype) -> np.ndarray:
+    """M^-1 v, in ``dtype``, the precision of M's LU ``lu``."""
+    return lu.solve(v.astype(dtype, copy=False), trans="T")
+
+
+def _meets_forcing(res, rhs) -> bool:
+    """Whether the residual ``res`` of a step meets |res| <= _FORCING |rhs|
+    (never when it is not finite)."""
+    return bool(np.linalg.norm(res) <= _FORCING * np.linalg.norm(rhs))
 
 
 def _full_grid(dom: GridDomain, interior_vec, cache: AssemblyCache) -> np.ndarray:
@@ -342,7 +387,7 @@ def solve_dirichlet(model: MetricModel, dom: GridDomain, H=None,
                        coarse_iterations=coarse_iterations,
                        factorizations=linear.factorizations,
                        krylov_iterations=linear.krylov_iterations,
-                       lu_fill=linear.lu_fill)
+                       lu_fill=linear.lu_fill, lu_fallbacks=linear.lu_fallbacks)
 
 
 # ---------------------------------------------------------------------------

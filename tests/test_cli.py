@@ -78,6 +78,8 @@ def test_solve_report_records_the_linear_algebra(tmp_path):
     assert report["factorizations"] == rep.factorizations
     assert report["krylov_iterations"] == rep.krylov_iterations
     assert report["lu_fill"] == rep.lu_fill > 0
+    # every float32 step met the forcing bound after its refinement step
+    assert report["lu_fallbacks"] == rep.lu_fallbacks == 0
     # a Picard sweep happens only at the start, so no count of them is kept
     assert "picard_sweeps" not in report
     # the Picard matrix and the first Newton Jacobian at least, and fewer
@@ -376,10 +378,12 @@ def test_experiment_runs_carry_the_solve_report_keys(tmp_path):
     strip = json.loads((tmp_path / "strip" / "nil_strip.json").read_text())
     run, = json.loads((tmp_path / "removable" / "removable_singularity.json").read_text())["runs"]
     assert "picard_sweeps" not in keys and "converged" in keys and "unknowns" in keys
+    assert "lu_fallbacks" in keys
     assert [set(r) for r in strip["runs"]] == [keys | {"n"}] * 2
     assert set(run) == ({"h"} | {"full_" + k for k in keys}
                         | {"punctured_" + k for k in keys})
     assert run["punctured_start"] == "given" and run["punctured_iterations"] >= 1
+    assert run["full_lu_fallbacks"] == run["punctured_lu_fallbacks"] == 0
 
 
 def test_unknowns_count_the_bridge_node(tmp_path):

@@ -604,7 +604,9 @@ def _by_node(cache, F, J):
     nodes = cache.flat_unknown
     summands = [[i] for i in cache._slot_first.tolist()]
     for slots, ids in cache._slot_rest:
-        for slot, i in zip(slots.tolist(), ids.tolist()):
+        # slots None: a summand of every slot
+        slots = range(len(summands)) if slots is None else slots.tolist()
+        for slot, i in zip(slots, ids.tolist()):
             summands[slot].append(i)
     rows = nodes[np.repeat(np.arange(cache.n_unknowns), np.diff(J.indptr))]
     cols = nodes[J.indices]

@@ -150,7 +150,8 @@ def test_unsolvable_problem_stops_as_diverged(h, punctured):
     # and the solve says so within a few iterations, before anything
     # overflows; at h = 1/4 the punctured solve's line search rejects a step
     # first, while the full one accepts a short step at its third iteration
-    # (rounding decides which) and then runs away
+    # (rounding decides which, and how short: its Jacobian there is singular
+    # to working precision) and then runs away
     dom = GridDomain.rectangle(-1, 1, -1, 1, h)
     if punctured:
         dom = dom.with_puncture(dom.nearest_node((0.25, 0.25)))
@@ -162,7 +163,7 @@ def test_unsolvable_problem_stops_as_diverged(h, punctured):
         assert rep.damping_history[-1] == 0.0
     elif h == 1 / 4:
         assert rep.stop_reason == "diverged" and rep.iterations == 3
-        assert rep.damping_history[-1] == 2.0 ** -8 and "ran away" in rep.message
+        assert rep.damping_history[-1] == 2.0 ** -9 and "ran away" in rep.message
     else:
         assert rep.stop_reason == "diverged"
         assert 1 <= rep.iterations <= 5 and "ran away" in rep.message
@@ -588,10 +589,13 @@ def _count_linear_algebra(monkeypatch):
         counts["splu"] += 1
         counts["permc_spec"].append(kwargs.get("permc_spec"))
         counts["events"].append("splu")
-        # the LU is of the transpose of the matrix assembled last, in its CSC view
+        # the LU is of the transpose of the matrix assembled last, in its CSC
+        # view, with its values cast to float32
         kind = next(e for e in reversed(counts["events"]) if e in ("newton", "picard"))
         J = counts["last_matrix"]
-        counts["transposed"].append(args[0].format == "csc" and (args[0] != J.T).nnz == 0)
+        A = args[0]
+        counts["transposed"].append(A.format == "csc" and A.dtype == np.float32
+                                    and (A != J.T.astype(np.float32)).nnz == 0)
         lu = _CountingLU(splu(*args, **kwargs), counts, kind)
         counts["lu_nnz"].append(lu.nnz)
         return lu
@@ -658,10 +662,11 @@ def test_one_factorization_per_lattice_plus_picard_and_refactors(monkeypatch):
     assert counts["splu"] == rep.factorizations == 1 + 1 + sum(after_damped) + refactors
     assert counts["splu"] < counts["matrices"] and "newton:gmres" in newton
     assert counts["spsolve"] == 0
-    # one triangular solve per direct solve, with no refinement step; a
-    # GMRES solution is mapped back by the LU solve of GMRES's own last
-    # residual, so it costs none outside GMRES
-    assert counts["lu_solves"] == counts["splu"]
+    # three triangular solves per direct solve, one and its two refinement
+    # steps, with no float64 fallback; a GMRES step combines the LU solves
+    # GMRES made, so it costs none outside GMRES
+    assert rep.lu_fallbacks == 0
+    assert counts["lu_solves"] == 3 * counts["splu"]
     # SuperLU keeps the nested-dissection numbering it is given
     assert counts["permc_spec"] == ["NATURAL"] * counts["splu"]
     assert all(counts["transposed"]) and len(counts["transposed"]) == counts["splu"]
@@ -718,7 +723,7 @@ def _spsolve_linear_solve(J, rhs):
 
 
 def test_direct_path_matches_one_spsolve_per_system(monkeypatch):
-    # the direct path alone (no GMRES): nested-dissection LU, no refinement
+    # the direct path alone (no GMRES): nested-dissection float32 LU, refined
     m = builtin_model("nil3", (0.5,))
     monkeypatch.setattr(solver._LinearSolves, "_krylov", lambda self, J, rhs: None)
     rep = solve_dirichlet(m, _clamped_strip())
@@ -826,7 +831,8 @@ def test_no_jacobian_entry_couples_the_halves_of_a_split_box(monkeypatch, name):
 @pytest.mark.parametrize("name", ["rectangle", "punctured-disk", "annulus"])
 def test_factored_matrix_shares_the_jacobians_data(monkeypatch, name):
     # cartesian, masked and bridged, and periodic lattices: SuperLU factors
-    # J.T, the CSC view of the CSR Jacobian, so nothing is copied
+    # a CSC matrix on J's own index arrays, J.T's structure, with J's values
+    # cast to float32, so only the values are copied
     cache = _order_cache(name)
     received, splu = [], spla.splu
     monkeypatch.setattr(spla, "splu", lambda A, **kw: received.append(A) or splu(A, **kw))
@@ -839,12 +845,40 @@ def test_factored_matrix_shares_the_jacobians_data(monkeypatch, name):
         delta = linear.solve(J, rhs)
         A = received[-1]
         assert A.format == "csc" and A.shape == J.shape
-        for a, b in zip((A.data, A.indices, A.indptr), (J.data, J.indices, J.indptr)):
-            assert np.shares_memory(a, b)
+        assert np.shares_memory(A.indices, J.indices) and np.shares_memory(A.indptr, J.indptr)
+        assert A.data.dtype == np.float32
+        np.testing.assert_array_equal(A.data, J.data.astype(np.float32))
         # SuperLU reads the Jacobian and leaves it as it was
         for a, b in zip((J.data, J.indices, J.indptr), arrays):
             np.testing.assert_array_equal(a, b)
         assert np.linalg.norm(J @ delta - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert linear.lu_fallbacks == 0 and len(received) == linear.factorizations == 2
+
+
+def test_missed_forcing_bound_falls_back_to_float64(monkeypatch):
+    # a float32 solve perturbed by 10%: its refined step misses the forcing
+    # bound, so every factorization is followed by a float64 one, whose
+    # SuperLU object is held; the solve then runs on float64 LUs alone
+    m = builtin_model("nil3", (0.5,))
+    ref = solve_dirichlet(m, _clamped_strip())
+    lu_solve = solver._lu_solve
+
+    def perturbed(lu, v, dtype):
+        w = lu_solve(lu, v, dtype)
+        return 1.1 * w if dtype is np.float32 else w
+
+    monkeypatch.setattr(solver, "_lu_solve", perturbed)
+    rep = solve_dirichlet(m, _clamped_strip())
+    # one fallback per float32 factorization the unpatched solve made
+    assert rep.converged and rep.lu_fallbacks == ref.factorizations >= 1
+    assert rep.factorizations == 2 * rep.lu_fallbacks
+    inter = _clamped_strip().interior_mask()
+    assert np.max(np.abs(rep.u.values[inter] - ref.u.values[inter])) <= 1e-12
+    cache = _order_cache("strip")
+    linear = solver._LinearSolves()
+    linear.solve(_first_jacobian(cache), np.ones(cache.n_unknowns))
+    assert linear.lu_fallbacks == 1 and linear.factorizations == 2
+    assert linear.lu.L.dtype == np.float64 and linear.lu.nnz == linear.lu_fill
 
 
 def _fill(lu):
